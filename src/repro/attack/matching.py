@@ -54,9 +54,11 @@ def _greedy_assignment(
     Greedy matching is a 1/2-approximation of the maximum-weight matching
     and runs in O(m log m) -- the scalable choice for the large, lower
     split layers (a v-pin graph is a general graph, not bipartite, so the
-    Hungarian algorithm does not directly apply).
+    Hungarian algorithm does not directly apply).  Equal weights are
+    scanned in ascending ``(i, j)`` order, so the matching is a function
+    of the pair set alone, not of its array order.
     """
-    order = np.argsort(weight)[::-1]
+    order = np.lexsort((pair_j, pair_i, -weight))
     assigned: dict[int, int] = {}
     for k in order:
         a, b = int(pair_i[k]), int(pair_j[k])

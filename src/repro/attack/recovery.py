@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..splitmfg.split import SplitView
+from .matching import _greedy_assignment
 from .result import AttackResult
 
 
@@ -82,16 +83,9 @@ def recover_from_matching(
 ) -> RecoveryReport:
     """Reconstruct via the global matching attack and score it."""
     keep = result.prob >= min_probability
-    order = np.argsort(result.prob[keep])[::-1]
-    pair_i = result.pair_i[keep][order]
-    pair_j = result.pair_j[keep][order]
-    assignment: dict[int, int] = {}
-    for a, b in zip(pair_i, pair_j):
-        a, b = int(a), int(b)
-        if a in assignment or b in assignment:
-            continue
-        assignment[a] = b
-        assignment[b] = a
+    assignment = _greedy_assignment(
+        result.pair_i[keep], result.pair_j[keep], result.prob[keep]
+    )
     return score_assignment(result.view, assignment)
 
 

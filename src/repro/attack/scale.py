@@ -15,9 +15,12 @@ through:
   :class:`~repro.splitmfg.featurize_engine.PairFeaturizer` into a
   per-shard :class:`~repro.attack.topk.TopKTracker` and returns only
   the tracker's fixed-size ``(n, k)`` state;
-* the parent merges shard states **in shard order**, so the result is
-  identical for every ``--jobs`` setting (ties in merge order depend on
-  ``n_shards``, never on scheduling).
+* the parent merges the shard states into one tracker.
+
+The tracker ranks candidates by a strict total order (probability
+descending, then partner id ascending), under which per-v-pin top-K is
+associative: the result depends only on the inputs and the seed, and is
+identical for every ``chunk_size``, ``n_shards`` and ``jobs``.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from ..splitmfg.sampling import iter_all_pairs, max_chunk_rows
 from ..splitmfg.split import SplitView
 from .framework import TrainedAttack
 from .result import AttackResult
-from .topk import TopKTracker
+from .topk import TopKTracker, _get_kernel
 
 
 def shard_rows(n: int, n_shards: int) -> list[tuple[int, int]]:
@@ -95,9 +98,10 @@ def evaluate_attack_scaled(
     Only the all-pairs testing rule is supported (``trained`` must have
     no neighborhood and no axis limit -- the paper-scale ``ML``
     configurations); the per-v-pin top-``k`` semantics match
-    :func:`~repro.attack.topk.evaluate_attack_topk`.  ``n_shards``
-    defaults to ``max(jobs, 1)`` and fully determines the result;
-    ``jobs`` only decides how many shards run concurrently.
+    :func:`~repro.attack.topk.evaluate_attack_topk`, and so is the
+    result: ``chunk_size``, ``n_shards`` (default ``max(jobs, 1)``) and
+    ``jobs`` only decide how the work is cut and how many shards run
+    concurrently.
     """
     if trained.neighborhood is not None or trained.limit_axis is not None:
         raise ValueError(
@@ -109,6 +113,9 @@ def evaluate_attack_scaled(
     start = time.perf_counter()
     n = len(view)
     shards = shard_rows(n, n_shards)
+    # Build the top-K kernel here so forked workers inherit it instead of
+    # each compiling its own.
+    _get_kernel()
     cols = share_arrays(view.arrays())
     try:
         with span(

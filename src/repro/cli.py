@@ -532,6 +532,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+def _topk_sha256(pair_i, pair_j, prob) -> str:
+    """SHA-256 of harvested top-K ``(i, j, prob)`` triples."""
+    import hashlib
+
+    import numpy as np
+
+    digest = hashlib.sha256()
+    for array, dtype in ((pair_i, "<i8"), (pair_j, "<i8"), (prob, "<f8")):
+        digest.update(np.ascontiguousarray(array, dtype=dtype).tobytes())
+    return digest.hexdigest()
+
+
 def _cmd_paper_scale(args: argparse.Namespace) -> int:
     import time
 
@@ -579,6 +591,7 @@ def _cmd_paper_scale(args: argparse.Namespace) -> int:
     resources = resources_snapshot()
     stop_resource_sampling()
     peak_mb = resources["peak_rss_bytes"] / 1e6
+    topk_sha = _topk_sha256(result.pair_i, result.pair_j, result.prob)
     if not args.no_manifest:
         manifest = build_manifest(
             command="paper-scale",
@@ -599,6 +612,7 @@ def _cmd_paper_scale(args: argparse.Namespace) -> int:
             metrics=get_registry().snapshot(),
             resources=resources,
         )
+        manifest["topk_sha256"] = topk_sha
         path = write_manifest(manifest, Path(args.manifest_dir))
         print(f"run manifest -> {path}", file=sys.stderr)
     print(
@@ -608,6 +622,7 @@ def _cmd_paper_scale(args: argparse.Namespace) -> int:
         f"peak RSS {peak_mb:.0f} MB, "
         f"acc@0.5 {result.accuracy_at_threshold(0.5):.3f}"
     )
+    print(f"topk_sha256 {topk_sha}")
     if args.budget_mb is not None and peak_mb > args.budget_mb:
         print(
             f"RSS BUDGET EXCEEDED: peak {peak_mb:.0f} MB > "
@@ -850,7 +865,8 @@ def build_parser() -> argparse.ArgumentParser:
     paper_scale.add_argument("--jobs", type=int, default=1)
     paper_scale.add_argument(
         "--shards", type=int, default=None,
-        help="row shards (default: jobs); fixes the result regardless of --jobs",
+        help="row shards (default: jobs); the result is the same for every "
+        "--shards, --jobs and --chunk-size",
     )
     paper_scale.add_argument(
         "--engine", default=None, choices=("c", "numpy", "reference"),

@@ -52,17 +52,15 @@ Engine selection: ``REPRO_FIT_ENGINE`` (``auto`` | ``c`` | ``numpy`` |
 
 from __future__ import annotations
 
-import atexit
 import ctypes
 import os
-import shutil
-import subprocess
-import tempfile
 import threading
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from ..native import build_kernel
 
 _EPS = 1e-12
 
@@ -294,40 +292,27 @@ _kernel_tried = False
 
 def _compile_kernel() -> "ctypes.CDLL | None":
     """Compile and load the C kernel; ``None`` when unavailable."""
-    if os.environ.get("REPRO_FIT_NO_CKERNEL"):
-        return None
-    compiler = os.environ.get("CC") or shutil.which("cc") or shutil.which("gcc")
-    if compiler is None:
-        return None
-    build_dir = tempfile.mkdtemp(prefix="repro-fit-kernel-")
-    atexit.register(shutil.rmtree, build_dir, ignore_errors=True)
-    src = os.path.join(build_dir, "kernel.c")
-    lib_path = os.path.join(build_dir, "kernel.so")
-    try:
-        with open(src, "w") as handle:
-            handle.write(_KERNEL_SOURCE)
-        subprocess.run(
-            [compiler, "-O2", "-shared", "-fPIC", "-o", lib_path, src],
-            check=True,
-            capture_output=True,
-            timeout=120,
-        )
-        lib = ctypes.CDLL(lib_path)
-        ptr = ctypes.c_void_p
-        i64 = ctypes.c_int64
-        i32 = ctypes.c_int32
-        lib.repro_fit_best_split.argtypes = [
-            ptr, ptr, i64, ptr, i64, ptr, i32, i64, i64,
-            ctypes.c_double, ctypes.c_double, ptr, ptr, ptr,
-        ]
-        lib.repro_fit_best_split.restype = ctypes.c_int
-        lib.repro_fit_partition.argtypes = [
-            ptr, ctypes.c_double, ptr, i64, i32, i64, ptr, ptr,
-        ]
-        lib.repro_fit_partition.restype = None
-        return lib
-    except (OSError, subprocess.SubprocessError):
-        return None
+    ptr = ctypes.c_void_p
+    i64 = ctypes.c_int64
+    i32 = ctypes.c_int32
+    return build_kernel(
+        "fit",
+        _KERNEL_SOURCE,
+        {
+            "repro_fit_best_split": (
+                [
+                    ptr, ptr, i64, ptr, i64, ptr, i32, i64, i64,
+                    ctypes.c_double, ctypes.c_double, ptr, ptr, ptr,
+                ],
+                ctypes.c_int,
+            ),
+            "repro_fit_partition": (
+                [ptr, ctypes.c_double, ptr, i64, i32, i64, ptr, ptr],
+                None,
+            ),
+        },
+        disable_env="REPRO_FIT_NO_CKERNEL",
+    )
 
 
 def _get_kernel() -> "ctypes.CDLL | None":

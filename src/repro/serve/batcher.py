@@ -28,7 +28,15 @@ Observability (see OBSERVABILITY.md):
 * ``serving_batch_rows``        -- sample rows per kernel call;
 * ``serving_queue_depth``       -- queue backlog at each dispatch;
 * ``serving_batch_wait_seconds``-- per-item time spent coalescing;
-* ``serving_batches_merged``    -- kernel calls that served >1 request.
+* ``serving_batches_merged``    -- kernel calls that served >1 request;
+* ``serving_batch_inline``      -- large matrices scored inline, unqueued.
+
+A matrix of at least :data:`~repro.serve.engine.DEFAULT_CHUNK_SIZE` rows
+never enters the queue: the engine cuts it into chunks of that size
+anyway, so merging it with other work saves nothing, while queueing it
+makes every smaller request behind it wait for its whole predict.  It is
+scored in the calling thread instead -- byte-identical by the same
+row-independence contract.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ from typing import Any
 import numpy as np
 
 from ..obs.metrics import COUNT_BUCKETS, SHORT_WAIT_BUCKETS, counter, histogram
+from .engine import DEFAULT_CHUNK_SIZE
 
 #: How long the dispatcher keeps the first item of a batch waiting for
 #: company before scoring (seconds).  Zero still batches opportunistically:
@@ -190,9 +199,14 @@ class MicroBatcher:
 
         Falls back to an inline ``model.predict_proba`` when the batcher
         is not running (stopped, closed, or never started), so the
-        caller's behaviour is identical either way.
+        caller's behaviour is identical either way.  A matrix of at least
+        ``DEFAULT_CHUNK_SIZE`` rows is scored inline too (counted in
+        ``serving_batch_inline``).
         """
         if not self.running:
+            return model.predict_proba(X)
+        if len(X) >= DEFAULT_CHUNK_SIZE:
+            counter("serving_batch_inline").inc()
             return model.predict_proba(X)
         try:
             future = self.submit(model_key, model, X)

@@ -25,12 +25,7 @@ and ``repro.attack.topk`` inherit the fast path automatically because
 
 from __future__ import annotations
 
-import atexit
 import ctypes
-import os
-import shutil
-import subprocess
-import tempfile
 import threading
 from dataclasses import dataclass
 from typing import Sequence
@@ -38,6 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from ..ml.tree import DecisionTreeBase
+from ..native import build_kernel
 
 #: Samples scored per kernel invocation; bounds transient memory at
 #: ``O(chunk)`` regardless of how many pairs one request carries.
@@ -81,34 +77,21 @@ _kernel_tried = False
 
 def _compile_kernel() -> "ctypes.CDLL | None":
     """Compile and load the C kernel; ``None`` when unavailable."""
-    if os.environ.get("REPRO_SERVE_NO_CKERNEL"):
-        return None
-    compiler = os.environ.get("CC") or shutil.which("cc") or shutil.which("gcc")
-    if compiler is None:
-        return None
-    build_dir = tempfile.mkdtemp(prefix="repro-serve-kernel-")
-    atexit.register(shutil.rmtree, build_dir, ignore_errors=True)
-    src = os.path.join(build_dir, "kernel.c")
-    lib_path = os.path.join(build_dir, "kernel.so")
-    try:
-        with open(src, "w") as handle:
-            handle.write(_KERNEL_SOURCE)
-        subprocess.run(
-            [compiler, "-O2", "-shared", "-fPIC", "-o", lib_path, src],
-            check=True,
-            capture_output=True,
-            timeout=120,
-        )
-        lib = ctypes.CDLL(lib_path)
-        ptr = ctypes.c_void_p
-        lib.repro_predict_stacked.argtypes = [
-            ptr, ctypes.c_long, ctypes.c_int,
-            ptr, ptr, ptr, ptr, ptr, ptr, ctypes.c_int, ptr,
-        ]
-        lib.repro_predict_stacked.restype = None
-        return lib
-    except (OSError, subprocess.SubprocessError):
-        return None
+    ptr = ctypes.c_void_p
+    return build_kernel(
+        "serve",
+        _KERNEL_SOURCE,
+        {
+            "repro_predict_stacked": (
+                [
+                    ptr, ctypes.c_long, ctypes.c_int,
+                    ptr, ptr, ptr, ptr, ptr, ptr, ctypes.c_int, ptr,
+                ],
+                None,
+            ),
+        },
+        disable_env="REPRO_SERVE_NO_CKERNEL",
+    )
 
 
 def _get_kernel() -> "ctypes.CDLL | None":

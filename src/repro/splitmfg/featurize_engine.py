@@ -50,17 +50,14 @@ that wanted the kernel but could not get one increments
 
 from __future__ import annotations
 
-import atexit
 import ctypes
 import os
-import shutil
-import subprocess
-import tempfile
 import threading
 from typing import Any, Mapping
 
 import numpy as np
 
+from ..native import build_kernel
 from ..obs.metrics import ROW_COUNT_BUCKETS, counter, histogram
 from .pair_features import FEATURES_11, compute_pair_features
 
@@ -152,35 +149,20 @@ _kernel_tried = False
 
 def _compile_kernel() -> "ctypes.CDLL | None":
     """Compile and load the C kernel; ``None`` when unavailable."""
-    if os.environ.get("REPRO_FEATURIZE_NO_CKERNEL"):
-        return None
-    compiler = os.environ.get("CC") or shutil.which("cc") or shutil.which("gcc")
-    if compiler is None:
-        return None
-    build_dir = tempfile.mkdtemp(prefix="repro-featurize-kernel-")
-    atexit.register(shutil.rmtree, build_dir, ignore_errors=True)
-    src = os.path.join(build_dir, "kernel.c")
-    lib_path = os.path.join(build_dir, "kernel.so")
-    try:
-        with open(src, "w") as handle:
-            handle.write(_KERNEL_SOURCE)
-        subprocess.run(
-            [compiler, "-O2", "-shared", "-fPIC", "-o", lib_path, src],
-            check=True,
-            capture_output=True,
-            timeout=120,
-        )
-        lib = ctypes.CDLL(lib_path)
-        ptr = ctypes.c_void_p
-        i64 = ctypes.c_int64
-        i32 = ctypes.c_int32
-        lib.repro_featurize.argtypes = [
-            ptr, i64, ptr, ptr, i64, ptr, i32, i32, ptr, ptr, ptr,
-        ]
-        lib.repro_featurize.restype = i64
-        return lib
-    except (OSError, subprocess.SubprocessError):
-        return None
+    ptr = ctypes.c_void_p
+    i64 = ctypes.c_int64
+    i32 = ctypes.c_int32
+    return build_kernel(
+        "featurize",
+        _KERNEL_SOURCE,
+        {
+            "repro_featurize": (
+                [ptr, i64, ptr, ptr, i64, ptr, i32, i32, ptr, ptr, ptr],
+                i64,
+            ),
+        },
+        disable_env="REPRO_FEATURIZE_NO_CKERNEL",
+    )
 
 
 def _get_kernel() -> "ctypes.CDLL | None":

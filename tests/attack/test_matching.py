@@ -6,6 +6,7 @@ import pytest
 from repro.attack.config import IMP_9
 from repro.attack.framework import evaluate_attack, train_attack
 from repro.attack.matching import (
+    _greedy_assignment,
     connected_component_sizes,
     distance_weighted_matching_attack,
     global_matching_attack,
@@ -75,6 +76,18 @@ class TestGreedyAssignment:
         )
         outcome = global_matching_attack(result)
         assert outcome.success_rate == 0.0
+
+
+    def test_ties_do_not_depend_on_array_order(self):
+        """All-equal weights: the matching is a function of the pair set,
+        identical for every permutation of the input arrays."""
+        rng = np.random.default_rng(0)
+        i, j = np.triu_indices(12, k=1)
+        weight = np.full(len(i), 0.5)
+        reference = _greedy_assignment(i, j, weight)
+        for _ in range(5):
+            order = rng.permutation(len(i))
+            assert _greedy_assignment(i[order], j[order], weight[order]) == reference
 
 
 class TestOnBenchmarks:

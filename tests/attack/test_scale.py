@@ -74,13 +74,12 @@ class TestEvaluateScaled:
         assert one.n_pairs_evaluated == many.n_pairs_evaluated
 
     def test_small_chunks_match_large(self, views8):
-        # With k >= n-1 nothing is ever evicted, so the result must be
-        # exactly chunk-size invariant.  (Below that, tree-ensemble
-        # probability ties make eviction arrival-order sensitive --
-        # same caveat as evaluate_attack_topk.)
+        # k < n-1, so candidates are evicted; the total order makes which
+        # tied partner survives independent of chunk arrival order.
         trained = train_attack(ML_9, views8[1:], seed=0)
         view = views8[0]
-        k = len(view)
+        k = 4
+        assert k < len(view) - 1
         big = evaluate_attack_scaled(trained, view, k=k, chunk_size=10_000)
         small = evaluate_attack_scaled(trained, view, k=k, chunk_size=17)
         np.testing.assert_array_equal(big.pair_i, small.pair_i)

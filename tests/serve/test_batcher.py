@@ -11,6 +11,7 @@ from repro.serve.batcher import (
     BatcherClosedError,
     MicroBatcher,
 )
+from repro.serve.engine import DEFAULT_CHUNK_SIZE
 
 
 class RecordingModel:
@@ -236,3 +237,44 @@ class TestMetrics:
         assert depth["count"] == sizes["count"] == rows["count"]
         if sizes["max"] > 1:
             assert snapshot["counters"]["serving_batches_merged"] >= 1
+
+
+class ThreadRecordingModel(RecordingModel):
+    """Also logs which thread ran each ``predict_proba``."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.threads: list[threading.Thread] = []
+
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        self.threads.append(threading.current_thread())
+        return super().predict_proba(X)
+
+
+class TestInlineLargeMatrices:
+    def test_large_matrix_skips_the_queue(self, monkeypatch):
+        """A matrix of >= DEFAULT_CHUNK_SIZE rows is scored in the calling
+        thread, never enqueued, and equals unbatched scoring."""
+        get_registry().reset()
+        model = ThreadRecordingModel()
+        X = matrix(np.arange(DEFAULT_CHUNK_SIZE) / DEFAULT_CHUNK_SIZE)
+        with MicroBatcher(window=0.0) as batcher:
+
+            def no_submit(*_args, **_kwargs):
+                raise AssertionError("large matrix entered the queue")
+
+            monkeypatch.setattr(batcher, "submit", no_submit)
+            probs = batcher.score("m", model, X)
+        assert np.array_equal(probs, RecordingModel().predict_proba(X))
+        assert model.threads == [threading.current_thread()]
+        assert get_registry().snapshot()["counters"]["serving_batch_inline"] == 1
+
+    def test_small_matrix_goes_through_the_dispatcher(self):
+        get_registry().reset()
+        model = ThreadRecordingModel()
+        with MicroBatcher(window=0.0) as batcher:
+            probs = batcher.score("m", model, matrix([1.0, 2.0]))
+        assert np.array_equal(probs, [2.0, 4.0])
+        assert model.threads[0].name == "repro-serve-batcher"
+        counters = get_registry().snapshot()["counters"]
+        assert counters.get("serving_batch_inline", 0) == 0

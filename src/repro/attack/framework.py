@@ -9,6 +9,8 @@ Implements the paper's Fig. 1 pipeline around a trained classifier:
   (all legal pairs for ``ML``, neighborhood pairs for ``Imp``), classify
   them in bounded-memory chunks, and record the probability of every pair
   (Section III-F: thresholds are applied *afterwards*);
+* :func:`score_chunks` -- the one featurize-and-classify loop behind
+  :func:`evaluate_attack` and the top-K evaluators;
 * :func:`run_loo` -- leave-one-out cross validation over a suite.
 """
 
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -36,7 +38,6 @@ from ..runtime import (
     view_content_hash,
 )
 from ..splitmfg.featurize_engine import PairFeaturizer
-from ..splitmfg.pair_features import legal_pair_mask
 from ..splitmfg.sampling import (
     COORD_TOL,
     NeighborhoodIndex,
@@ -225,16 +226,14 @@ def _candidate_chunks(
     trained: TrainedAttack,
     view: SplitView,
     chunk_size: int,
-    filter_legal: bool = True,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Candidate pair chunks per the configuration's testing rule.
 
-    ``filter_legal=False`` skips the all-pairs legality mask so a caller
-    can fold it into featurization instead
+    Neighborhood chunks come from the KD-tree, already restricted to
+    legal pairs; all-pairs chunks are raw triangle rows whose legality
+    mask :func:`score_chunks` folds into featurization
     (:meth:`~repro.splitmfg.featurize_engine.PairFeaturizer
-    .legal_rows_into`); neighborhood chunks come from the KD-tree
-    pre-filtered either way.  Masks preserve pair order, so the union of
-    the surviving pairs is identical for both settings.
+    .legal_rows_into`).  The "Y" limit is applied there too.
     """
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
@@ -244,12 +243,45 @@ def _candidate_chunks(
         for start in range(0, len(i), chunk_size):
             yield i[start : start + chunk_size], j[start : start + chunk_size]
     else:
-        for i, j in iter_all_pairs(len(view), chunk_size):
-            if filter_legal:
-                legal = legal_pair_mask(view, i, j)
-                yield i[legal], j[legal]
-            else:
-                yield i, j
+        yield from iter_all_pairs(len(view), chunk_size)
+
+
+def score_chunks(
+    model: Any,
+    featurizer: PairFeaturizer,
+    chunks: Iterable[tuple[np.ndarray, np.ndarray]],
+    chunk_size: int,
+    all_pairs: bool,
+    limit_axis: str | None = None,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The one scoring loop: featurize and classify candidate chunks.
+
+    For each ``(i, j)`` chunk it drops pairs off the "Y" limit's axis
+    (when ``limit_axis`` is set), folds the legality mask into
+    featurization for ``all_pairs`` chunks (neighborhood chunks are
+    legal already), and yields ``(i, j, X, p)`` for every non-empty
+    chunk.  ``X`` is a view into one reusable buffer sized for
+    ``chunk_size``: consume it before advancing the generator.  Every
+    yielded pair counts once in ``pairs_featurized`` and
+    ``candidates_scored``.
+    """
+    buffer = featurizer.out_buffer(max_chunk_rows(featurizer.n, chunk_size))
+    coord = None if limit_axis is None else featurizer.column("v" + limit_axis)
+    featurized = counter("pairs_featurized")
+    scored = counter("candidates_scored")
+    for i, j in chunks:
+        if coord is not None:
+            aligned = np.abs(coord[i] - coord[j]) <= COORD_TOL
+            i, j = i[aligned], j[aligned]
+        if all_pairs:
+            i, j, X = featurizer.legal_rows_into(i, j, buffer)
+        else:
+            X = featurizer.rows_into(i, j, buffer)
+        if len(i) == 0:
+            continue
+        featurized.inc(len(i))
+        scored.inc(len(i))
+        yield i, j, X, model.predict_proba(X)
 
 
 def _candidate_key(trained: TrainedAttack, view: SplitView) -> str:
@@ -268,6 +300,24 @@ def _candidate_key(trained: TrainedAttack, view: SplitView) -> str:
         trained.neighborhood,
         trained.limit_axis,
     )
+
+
+def _replay_chunks(
+    model: Any, cache: FeatureCache, key: str, n_chunks: int
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None:
+    """Score a cached candidate family; ``None`` if any chunk is missing."""
+    scored = []
+    for index in range(n_chunks):
+        entry = cache.get_chunk(key, index)
+        if entry is None:  # family incomplete: the caller re-featurizes
+            return None
+        scored.append((entry["i"], entry["j"], model.predict_proba(entry["X"])))
+    counter("candidates_scored").inc(sum(len(i) for i, _, _ in scored))
+    return scored
+
+
+def _concat(parts: list[np.ndarray], dtype: type) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
 
 
 def evaluate_attack(
@@ -299,109 +349,45 @@ def evaluate_attack(
         "evaluate", design=view.design_name, config=trained.config.name
     ) as outer:
         key = _candidate_key(trained, view) if cache is not None else None
-        stored = (
-            cache.get(key) if cache is not None and key is not None else None
-        )
-        out_i: list[np.ndarray] = []
-        out_j: list[np.ndarray] = []
-        out_p: list[np.ndarray] = []
-        n_evaluated = 0
-        replayed = False
-        if stored is not None and ("X" in stored or "n_chunks" in stored):
+        stored = cache.get(key) if key is not None else None
+        scored = None
+        if stored is not None:
             with span("score", candidates="cache"):
-                if "X" in stored:  # legacy single-entry format
-                    pair_i, pair_j = stored["i"], stored["j"]
-                    X_all = stored["X"]
-                    for begin in range(0, len(pair_i), chunk_size):
-                        out_p.append(
-                            trained.model.predict_proba(
-                                X_all[begin : begin + chunk_size]
-                            )
-                        )
-                    prob = np.concatenate(out_p) if out_p else np.zeros(0)
-                    n_evaluated = len(pair_i)
-                    replayed = True
-                else:
-                    replayed = True
-                    for index in range(int(stored["n_chunks"])):
-                        entry = cache.get_chunk(key, index)
-                        if entry is None:  # family incomplete: re-featurize
-                            out_i, out_j, out_p = [], [], []
-                            replayed = False
-                            break
-                        out_i.append(entry["i"])
-                        out_j.append(entry["j"])
-                        out_p.append(trained.model.predict_proba(entry["X"]))
-                    if replayed:
-                        if out_i:
-                            pair_i = np.concatenate(out_i)
-                            pair_j = np.concatenate(out_j)
-                            prob = np.concatenate(out_p)
-                        else:
-                            pair_i = np.zeros(0, dtype=int)
-                            pair_j = np.zeros(0, dtype=int)
-                            prob = np.zeros(0)
-                        n_evaluated = len(pair_i)
-        if not replayed:
-            arr = view.arrays()
+                scored = _replay_chunks(
+                    trained.model, cache, key, int(stored["n_chunks"])
+                )
+        if scored is None:
+            scored = []
             featurizer = PairFeaturizer(view, trained.config.features)
-            buffer = featurizer.out_buffer(
-                max_chunk_rows(len(view), chunk_size)
-            )
-            all_pairs = trained.neighborhood is None
-            caching = cache is not None and key is not None
+            caching = key is not None
             stored_bytes = 0
-            n_chunks = 0
-            out_i, out_j, out_p = [], [], []
             with span(
                 "score", candidates="featurized", engine=featurizer.engine
             ):
-                for i, j in _candidate_chunks(
-                    trained, view, chunk_size, filter_legal=not all_pairs
+                for i, j, X, p in score_chunks(
+                    trained.model,
+                    featurizer,
+                    _candidate_chunks(trained, view, chunk_size),
+                    chunk_size,
+                    all_pairs=trained.neighborhood is None,
+                    limit_axis=trained.limit_axis,
                 ):
-                    if trained.limit_axis == "y":
-                        aligned = np.abs(arr["vy"][i] - arr["vy"][j]) <= COORD_TOL
-                        i, j = i[aligned], j[aligned]
-                    elif trained.limit_axis == "x":
-                        aligned = np.abs(arr["vx"][i] - arr["vx"][j]) <= COORD_TOL
-                        i, j = i[aligned], j[aligned]
-                    if all_pairs:
-                        # Legality folds into the featurization pass;
-                        # masks commute, so (i, j, X) match the legacy
-                        # legality-first order exactly.
-                        i, j, X = featurizer.legal_rows_into(i, j, buffer)
-                    else:
-                        X = featurizer.rows_into(i, j, buffer)
-                    if len(i) == 0:
-                        continue
-                    p = trained.model.predict_proba(X)
-                    n_evaluated += len(i)
-                    out_i.append(i)
-                    out_j.append(j)
-                    out_p.append(p)
+                    scored.append((i, j, p))
                     if caching:
-                        chunk_bytes = i.nbytes + j.nbytes + X.nbytes
-                        if stored_bytes + chunk_bytes > MAX_CHUNKED_BYTES:
-                            caching = False  # no index: family discarded
-                        else:
-                            caching = cache.put_chunk(
-                                key, n_chunks, {"i": i, "j": j, "X": X}
+                        # Over the byte cap, no index is written and the
+                        # partial family is never replayed.
+                        stored_bytes += i.nbytes + j.nbytes + X.nbytes
+                        caching = stored_bytes <= MAX_CHUNKED_BYTES and (
+                            cache.put_chunk(
+                                key, len(scored) - 1, {"i": i, "j": j, "X": X}
                             )
-                            if caching:
-                                stored_bytes += chunk_bytes
-                                n_chunks += 1
-            counter("pairs_featurized").inc(n_evaluated)
-            if out_i:
-                pair_i = np.concatenate(out_i)
-                pair_j = np.concatenate(out_j)
-                prob = np.concatenate(out_p)
-            else:
-                pair_i = np.zeros(0, dtype=int)
-                pair_j = np.zeros(0, dtype=int)
-                prob = np.zeros(0)
+                        )
             if caching:
-                cache.put(key, {"n_chunks": np.array(n_chunks)})
-        counter("candidates_scored").inc(n_evaluated)
+                cache.put(key, {"n_chunks": np.array(len(scored))})
+        pair_i = _concat([i for i, _, _ in scored], int)
+        pair_j = _concat([j for _, j, _ in scored], int)
+        prob = _concat([p for _, _, p in scored], float)
+        n_evaluated = len(pair_i)
         outer.set(n_pairs=n_evaluated)
         logger.debug(
             "evaluated %s",

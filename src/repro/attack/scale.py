@@ -29,13 +29,12 @@ import time
 
 import numpy as np
 
-from ..obs.metrics import counter
 from ..obs.trace import span
 from ..runtime import parallel_map, release_arrays, share_arrays
 from ..splitmfg.featurize_engine import PairFeaturizer
-from ..splitmfg.sampling import iter_all_pairs, max_chunk_rows
+from ..splitmfg.sampling import iter_all_pairs
 from ..splitmfg.split import SplitView
-from .framework import TrainedAttack
+from .framework import TrainedAttack, score_chunks
 from .result import AttackResult
 from .topk import TopKTracker, _get_kernel
 
@@ -67,17 +66,21 @@ def shard_rows(n: int, n_shards: int) -> list[tuple[int, int]]:
 
 def _score_shard(payload: tuple) -> tuple[np.ndarray, np.ndarray, int]:
     """Worker: stream one row shard, return top-K state + pair count."""
-    cols, model, features, n, row_lo, row_hi, chunk_size, k, engine = payload
+    cols, model, features, row_lo, row_hi, chunk_size, k, engine, limit_axis = payload
     arrays = {name: sa.array for name, sa in cols.items()}
     featurizer = PairFeaturizer(arrays, features, engine=engine)
-    buffer = featurizer.out_buffer(max_chunk_rows(n, chunk_size))
-    tracker = TopKTracker(n, k)
+    tracker = TopKTracker(featurizer.n, k)
     n_evaluated = 0
-    for i, j in iter_all_pairs(n, chunk_size, row_start=row_lo, row_stop=row_hi):
-        i, j, X = featurizer.legal_rows_into(i, j, buffer)
-        if len(i) == 0:
-            continue
-        p = model.predict_proba(X)
+    for i, j, _, p in score_chunks(
+        model,
+        featurizer,
+        iter_all_pairs(
+            featurizer.n, chunk_size, row_start=row_lo, row_stop=row_hi
+        ),
+        chunk_size,
+        all_pairs=True,
+        limit_axis=limit_axis,
+    ):
         tracker.update(i, j, p)
         n_evaluated += len(i)
     partner, prob = tracker.state()
@@ -95,18 +98,23 @@ def evaluate_attack_scaled(
 ) -> AttackResult:
     """Sharded top-K scoring of every legal pair of ``view``.
 
-    Only the all-pairs testing rule is supported (``trained`` must have
-    no neighborhood and no axis limit -- the paper-scale ``ML``
-    configurations); the per-v-pin top-``k`` semantics match
+    Supports the all-pairs testing rule with or without the "Y" limit
+    (the ``ML`` and ``ML...Y`` configurations); neighborhood (``Imp``)
+    configurations are rejected, because workers receive only the
+    view's feature columns, not the :class:`SplitView` a
+    :class:`~repro.splitmfg.sampling.NeighborhoodIndex` is built from.
+    The per-v-pin top-``k`` semantics match
     :func:`~repro.attack.topk.evaluate_attack_topk`, and so is the
     result: ``chunk_size``, ``n_shards`` (default ``max(jobs, 1)``) and
     ``jobs`` only decide how the work is cut and how many shards run
-    concurrently.
+    concurrently.  Scored pairs are counted inside the shards (the pool
+    merges worker metrics back), never again here.
     """
-    if trained.neighborhood is not None or trained.limit_axis is not None:
+    if trained.neighborhood is not None:
         raise ValueError(
-            "evaluate_attack_scaled supports only all-pairs configs "
-            "(no neighborhood, no axis limit)"
+            "evaluate_attack_scaled supports only all-pairs configs: "
+            "workers get feature columns, not the SplitView a "
+            "neighborhood index needs"
         )
     if n_shards is None:
         n_shards = max(jobs, 1)
@@ -129,12 +137,12 @@ def evaluate_attack_scaled(
                     cols,
                     trained.model,
                     trained.config.features,
-                    n,
                     lo,
                     hi,
                     chunk_size,
                     k,
                     engine,
+                    trained.limit_axis,
                 )
                 for lo, hi in shards
             ]
@@ -146,8 +154,6 @@ def evaluate_attack_scaled(
     for partner, prob, shard_pairs in states:
         tracker.merge_state(partner, prob)
         n_evaluated += shard_pairs
-    counter("pairs_featurized").inc(n_evaluated)
-    counter("candidates_scored").inc(n_evaluated)
     pair_i, pair_j, prob = tracker.harvest()
     return AttackResult(
         view=view,

@@ -43,9 +43,8 @@ import numpy as np
 from ..native import build_kernel
 from ..obs.metrics import counter
 from ..splitmfg.featurize_engine import PairFeaturizer
-from ..splitmfg.sampling import max_chunk_rows
 from ..splitmfg.split import SplitView
-from .framework import TrainedAttack, _candidate_chunks
+from .framework import TrainedAttack, _candidate_chunks, score_chunks
 from .result import AttackResult
 
 _KERNEL_SOURCE = r"""
@@ -308,28 +307,16 @@ def evaluate_attack_topk(
     on ``chunk_size``.
     """
     start = time.perf_counter()
-    arr = view.arrays()
     tracker = TopKTracker(len(view), k)
-    featurizer = PairFeaturizer(view, trained.config.features)
-    buffer = featurizer.out_buffer(max_chunk_rows(len(view), chunk_size))
-    all_pairs = trained.neighborhood is None
     n_evaluated = 0
-    for i, j in _candidate_chunks(
-        trained, view, chunk_size, filter_legal=not all_pairs
+    for i, j, _, p in score_chunks(
+        trained.model,
+        PairFeaturizer(view, trained.config.features),
+        _candidate_chunks(trained, view, chunk_size),
+        chunk_size,
+        all_pairs=trained.neighborhood is None,
+        limit_axis=trained.limit_axis,
     ):
-        if trained.limit_axis == "y":
-            aligned = np.abs(arr["vy"][i] - arr["vy"][j]) <= 1e-6
-            i, j = i[aligned], j[aligned]
-        elif trained.limit_axis == "x":
-            aligned = np.abs(arr["vx"][i] - arr["vx"][j]) <= 1e-6
-            i, j = i[aligned], j[aligned]
-        if all_pairs:
-            i, j, X = featurizer.legal_rows_into(i, j, buffer)
-        else:
-            X = featurizer.rows_into(i, j, buffer)
-        if len(i) == 0:
-            continue
-        p = trained.model.predict_proba(X)
         tracker.update(i, j, p)
         n_evaluated += len(i)
     pair_i, pair_j, prob = tracker.harvest()

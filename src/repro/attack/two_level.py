@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..splitmfg.pair_features import compute_pair_features
-from ..splitmfg.sampling import positive_pairs
+from ..splitmfg.sampling import COORD_TOL, positive_pairs
 from ..splitmfg.split import SplitView
 from .config import AttackConfig
 from .framework import TrainedAttack, evaluate_attack, make_classifier, train_attack
@@ -78,7 +78,7 @@ def train_two_level(
         if config.limit_top_axis and len(pos_i):
             arr = view.arrays()
             key = "vy" if level1.limit_axis == "y" else "vx"
-            keep = np.abs(arr[key][pos_i] - arr[key][pos_j]) <= 1e-6
+            keep = np.abs(arr[key][pos_i] - arr[key][pos_j]) <= COORD_TOL
             pos_i, pos_j = pos_i[keep], pos_j[keep]
         # Keep the Level-2 set balanced (the paper's [4] principle): one
         # hard negative per v-pin can exceed the positive count, since

@@ -274,6 +274,10 @@ class PairFeaturizer:
     def n_features(self) -> int:
         return len(self.features)
 
+    def column(self, name: str) -> np.ndarray:
+        """One of the ``BASE_COLUMNS`` as the engines read it (float64)."""
+        return self._cols[name]
+
     def _packed_cols(self) -> np.ndarray:
         """The ``(9, n)`` C-contiguous base-column matrix (lazy)."""
         if self._packed is None:

@@ -1,6 +1,5 @@
 """Synthetic benchmark generation: placement, netlist synthesis, routing."""
 
-from .bookshelf import read_bookshelf, write_bookshelf
 from .variants import BusConfig, add_buses, build_bus_benchmark
 from .benchmarks import (
     BENCHMARK_SPECS,
@@ -40,8 +39,6 @@ __all__ = [
     "generate_placement",
     "layer_pairs",
     "n_vpins",
-    "read_bookshelf",
     "scaled_spec",
     "spec_by_name",
-    "write_bookshelf",
 ]

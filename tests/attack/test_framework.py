@@ -151,6 +151,34 @@ class TestObservability:
         assert counters["folds_completed"] == 3
         assert counters["candidates_scored"] > 0
 
+    @pytest.mark.parametrize("evaluator", ["cold", "warm", "topk", "scaled"])
+    def test_scoring_counted_once(self, views8, tmp_path, evaluator):
+        """Each evaluator counts every scored pair exactly once."""
+        from repro.attack.scale import evaluate_attack_scaled
+        from repro.attack.topk import evaluate_attack_topk
+        from repro.obs import get_registry
+        from repro.runtime import FeatureCache
+
+        trained = train_attack(ML_9, views8[1:], seed=0)
+        view = views8[0]
+        cache = FeatureCache(tmp_path)
+        if evaluator == "warm":
+            evaluate_attack(trained, view, cache=cache)
+        get_registry().reset()
+        if evaluator in ("cold", "warm"):
+            result = evaluate_attack(trained, view, cache=cache)
+        elif evaluator == "topk":
+            result = evaluate_attack_topk(trained, view, k=4)
+        else:
+            result = evaluate_attack_scaled(
+                trained, view, k=4, jobs=2, n_shards=3
+            )
+        counters = get_registry().snapshot()["counters"]
+        assert result.n_pairs_evaluated > 0
+        assert counters["candidates_scored"] == result.n_pairs_evaluated
+        featurized = 0 if evaluator == "warm" else result.n_pairs_evaluated
+        assert counters.get("pairs_featurized", 0) == featurized
+
     def test_parallel_folds_counters_match_serial(self, views8):
         from repro.obs import drain_spans, get_registry, reset_tracing
 

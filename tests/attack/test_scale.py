@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.attack.config import IMP_9, ML_9
+from repro.attack.config import IMP_9, ML_9, ML_9Y
 from repro.attack.framework import train_attack
 from repro.attack.scale import evaluate_attack_scaled, shard_rows
 from repro.attack.topk import evaluate_attack_topk
@@ -45,16 +45,28 @@ class TestShardRows:
             shard_rows(10, 0)
 
 
+def _assert_scaled_matches_topk(views8, config, n_shards, jobs, chunk_size):
+    trained = train_attack(config, views8[1:], seed=0)
+    view = views8[0]
+    streamed = evaluate_attack_topk(trained, view, k=8)
+    sharded = evaluate_attack_scaled(
+        trained, view, k=8, n_shards=n_shards, jobs=jobs, chunk_size=chunk_size
+    )
+    assert sharded.n_pairs_evaluated == streamed.n_pairs_evaluated
+    np.testing.assert_array_equal(sharded.pair_i, streamed.pair_i)
+    np.testing.assert_array_equal(sharded.pair_j, streamed.pair_j)
+    np.testing.assert_array_equal(sharded.prob, streamed.prob)
+
+
 class TestEvaluateScaled:
     def test_single_shard_matches_topk(self, views8):
-        trained = train_attack(ML_9, views8[1:], seed=0)
-        view = views8[0]
-        streamed = evaluate_attack_topk(trained, view, k=8)
-        sharded = evaluate_attack_scaled(trained, view, k=8, n_shards=1)
-        assert sharded.n_pairs_evaluated == streamed.n_pairs_evaluated
-        np.testing.assert_array_equal(sharded.pair_i, streamed.pair_i)
-        np.testing.assert_array_equal(sharded.pair_j, streamed.pair_j)
-        np.testing.assert_array_equal(sharded.prob, streamed.prob)
+        for config in (ML_9, ML_9Y):
+            _assert_scaled_matches_topk(views8, config, 1, 1, 400_000)
+
+    @pytest.mark.parametrize("config", [ML_9, ML_9Y], ids=lambda c: c.name)
+    @pytest.mark.parametrize("n_shards, jobs, chunk_size", [(3, 2, 17), (2, 1, 1000)])
+    def test_multi_shard_matches_topk(self, views8, config, n_shards, jobs, chunk_size):
+        _assert_scaled_matches_topk(views8, config, n_shards, jobs, chunk_size)
 
     def test_jobs_invariance(self, views8):
         trained = train_attack(ML_9, views8[1:], seed=0)

@@ -60,6 +60,46 @@ class TestCacheTransparency:
         _assert_results_identical(uncached, cold)
         _assert_results_identical(cold, warm)
 
+    def test_missing_chunk_refeaturizes_and_recompletes(self, views8, tmp_path):
+        """A warm family with one chunk gone is re-featurized and rewritten."""
+        from repro.attack.framework import _candidate_key
+        from repro.obs import get_registry
+
+        cache = FeatureCache(tmp_path)
+        trained = train_attack(ML_9, views8[1:], seed=0)
+        view = views8[0]
+        uncached = evaluate_attack(trained, view, chunk_size=500)
+        evaluate_attack(trained, view, chunk_size=500, cache=cache)
+        chunk = tmp_path / f"{cache.chunk_key(_candidate_key(trained, view), 1)}.npz"
+        chunk.unlink()
+        get_registry().reset()
+        repaired = evaluate_attack(trained, view, chunk_size=500, cache=cache)
+        featurized = get_registry().snapshot()["counters"]["pairs_featurized"]
+        assert featurized == repaired.n_pairs_evaluated
+        assert chunk.exists()
+        get_registry().reset()
+        warm = evaluate_attack(trained, view, chunk_size=500, cache=cache)
+        assert "pairs_featurized" not in get_registry().snapshot()["counters"]
+        _assert_results_identical([uncached, uncached], [repaired, warm])
+
+    def test_family_over_byte_cap_is_never_indexed(
+        self, views8, tmp_path, monkeypatch
+    ):
+        from repro.attack import framework
+
+        cache = FeatureCache(tmp_path)
+        trained = train_attack(ML_9, views8[1:], seed=0)
+        view = views8[0]
+        uncached = evaluate_attack(trained, view)
+        monkeypatch.setattr(framework, "MAX_CHUNKED_BYTES", 1)
+        first = evaluate_attack(trained, view, cache=cache)
+        index = tmp_path / f"{framework._candidate_key(trained, view)}.npz"
+        assert not index.exists()
+        misses = cache.misses
+        second = evaluate_attack(trained, view, cache=cache)
+        assert cache.misses == misses + 1
+        _assert_results_identical([uncached, uncached], [first, second])
+
     def test_seed_changes_training_key(self, views8, tmp_path):
         cache = FeatureCache(tmp_path)
         train_attack(IMP_9, views8[:2], seed=0, cache=cache)

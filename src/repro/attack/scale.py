@@ -66,9 +66,9 @@ def shard_rows(n: int, n_shards: int) -> list[tuple[int, int]]:
 
 def _score_shard(payload: tuple) -> tuple[np.ndarray, np.ndarray, int]:
     """Worker: stream one row shard, return top-K state + pair count."""
-    cols, model, features, row_lo, row_hi, chunk_size, k, engine, limit_axis = payload
+    cols, model, features, row_lo, row_hi, chunk_size, k, limit_axis = payload
     arrays = {name: sa.array for name, sa in cols.items()}
-    featurizer = PairFeaturizer(arrays, features, engine=engine)
+    featurizer = PairFeaturizer(arrays, features)
     tracker = TopKTracker(featurizer.n, k)
     n_evaluated = 0
     for i, j, _, p in score_chunks(
@@ -94,7 +94,6 @@ def evaluate_attack_scaled(
     chunk_size: int = 400_000,
     jobs: int = 1,
     n_shards: int | None = None,
-    engine: str | None = None,
 ) -> AttackResult:
     """Sharded top-K scoring of every legal pair of ``view``.
 
@@ -141,7 +140,6 @@ def evaluate_attack_scaled(
                     hi,
                     chunk_size,
                     k,
-                    engine,
                     trained.limit_axis,
                 )
                 for lo, hi in shards

@@ -35,12 +35,11 @@ Every merged chunk increments ``topk_chunks{engine=c|numpy}``.
 from __future__ import annotations
 
 import ctypes
-import threading
 import time
 
 import numpy as np
 
-from ..native import build_kernel
+from ..native import build_kernel, load_once
 from ..obs.metrics import counter
 from ..splitmfg.featurize_engine import PairFeaturizer
 from ..splitmfg.split import SplitView
@@ -123,11 +122,6 @@ void repro_topk_sort_rows(double *prob, int64_t *partner, int64_t n, int64_t k)
 }
 """
 
-_kernel_lock = threading.Lock()
-_kernel: "ctypes.CDLL | None" = None
-_kernel_tried = False
-
-
 def _compile_kernel() -> "ctypes.CDLL | None":
     """Compile and load the C kernel; ``None`` when unavailable."""
     ptr = ctypes.c_void_p
@@ -144,15 +138,8 @@ def _compile_kernel() -> "ctypes.CDLL | None":
 
 
 def _get_kernel() -> "ctypes.CDLL | None":
-    """The process-wide compiled kernel (compiled once, lazily)."""
-    global _kernel, _kernel_tried
-    if _kernel_tried:
-        return _kernel
-    with _kernel_lock:
-        if not _kernel_tried:
-            _kernel = _compile_kernel()
-            _kernel_tried = True
-    return _kernel
+    """The process-wide compiled kernel (built on first use)."""
+    return load_once("topk", _compile_kernel)
 
 
 def _int64(a: np.ndarray) -> np.ndarray:

@@ -585,7 +585,6 @@ def _cmd_paper_scale(args: argparse.Namespace) -> int:
         chunk_size=args.chunk_size,
         jobs=args.jobs,
         n_shards=args.shards,
-        engine=args.engine,
     )
     wall = time.perf_counter() - t0
     resources = resources_snapshot()
@@ -604,7 +603,6 @@ def _cmd_paper_scale(args: argparse.Namespace) -> int:
                 "chunk_size": args.chunk_size,
                 "jobs": args.jobs,
                 "shards": args.shards,
-                "engine": args.engine,
                 "budget_mb": args.budget_mb,
             },
             seeds={"root": args.seed},
@@ -867,10 +865,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards", type=int, default=None,
         help="row shards (default: jobs); the result is the same for every "
         "--shards, --jobs and --chunk-size",
-    )
-    paper_scale.add_argument(
-        "--engine", default=None, choices=("c", "numpy", "reference"),
-        help="featurization engine (default: $REPRO_FEATURIZE_ENGINE or auto)",
     )
     paper_scale.add_argument(
         "--budget-mb", type=float, default=None,

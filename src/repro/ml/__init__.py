@@ -17,7 +17,7 @@ from .feature_metrics import (
     information_gain,
     rank_features,
 )
-from .fit_engine import active_engine, has_ckernel, resolve_engine
+from .fit_engine import active_engine, has_ckernel
 from .forest import RandomForest
 from .knn import KNNClassifier
 from .linear import LinearRegression
@@ -52,5 +52,4 @@ __all__ = [
     "rank_features",
     "register_backend",
     "reliability_curve",
-    "resolve_engine",
 ]

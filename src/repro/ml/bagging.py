@@ -4,10 +4,11 @@ Paper Eq. (3): the ensemble probability is the plain average of the base
 classifiers' leaf probabilities; Eq. (2) then thresholds it (default 0.5,
 generalized to an arbitrary ``t`` to control LoC sizes, Section III-F).
 
-Inference is delegated to the stacked-tree engine
+Inference runs through the stacked-tree C kernel
 (:mod:`repro.serve.engine`), which walks all estimators in one pass and
-is bit-identical to the per-estimator reference loop kept as
-:meth:`Bagging.predict_proba_looped`.
+is bit-identical to the per-estimator reference loop
+:meth:`Bagging.predict_proba_looped` -- the oracle, and the path taken
+when no compiler is available.
 """
 
 from __future__ import annotations
@@ -27,11 +28,8 @@ class REPTreeFactory:
     sharded evaluator does exactly that).
     """
 
-    def __init__(self, engine: str | None = None) -> None:
-        self.engine = engine
-
     def __call__(self, rng: np.random.Generator) -> "REPTree":
-        return REPTree(seed=rng, engine=self.engine)
+        return REPTree(seed=rng)
 
 
 class RandomTreeFactory:
@@ -41,18 +39,15 @@ class RandomTreeFactory:
         self,
         max_depth: int | None = DEFAULT_MAX_DEPTH,
         min_samples_leaf: int = 1,
-        engine: str | None = None,
     ) -> None:
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
-        self.engine = engine
 
     def __call__(self, rng: np.random.Generator) -> "RandomTree":
         return RandomTree(
             max_depth=self.max_depth,
             min_samples_leaf=self.min_samples_leaf,
             seed=rng,
-            engine=self.engine,
         )
 
 
@@ -70,18 +65,13 @@ class Bagging:
         n_estimators: int = 10,
         seed: int | np.random.Generator = 0,
         voting: str = "soft",
-        engine: str | None = None,
     ) -> None:
         if n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
         if voting not in ("soft", "hard"):
             raise ValueError(f"unknown voting scheme {voting!r}")
-        # ``engine`` selects the fit engine (see repro.ml.fit_engine) for
-        # the default REPTree factory; a caller-supplied base_factory is
-        # responsible for threading it through itself.
-        self.base_factory = base_factory or REPTreeFactory(engine)
+        self.base_factory = base_factory or REPTreeFactory()
         self.n_estimators = n_estimators
-        self.fit_engine = engine
         self.rng = np.random.default_rng(seed)
         self.voting = voting
         self.estimators_: list[DecisionTreeBase] = []
@@ -107,15 +97,17 @@ class Bagging:
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Ensemble probability per sample (paper Eq. 3).
 
-        Scored through the stacked-tree engine (built lazily, cached
-        until the next ``fit``); bit-identical to
-        :meth:`predict_proba_looped`.
+        Scored through the stacked-tree C kernel (stacked lazily, cached
+        until the next ``fit``); without a compiler this is
+        :meth:`predict_proba_looped`, to which it is bit-identical.
         """
         if not self.estimators_:
             raise RuntimeError("fit() first")
-        if self._engine is None:
-            from ..serve.engine import StackedEnsemble
+        from ..serve.engine import StackedEnsemble, has_ckernel
 
+        if not has_ckernel():
+            return self.predict_proba_looped(X)
+        if self._engine is None:
             self._engine = StackedEnsemble.from_trees(
                 self.estimators_, voting=self.voting
             )
@@ -124,8 +116,8 @@ class Bagging:
     def predict_proba_looped(self, X: np.ndarray) -> np.ndarray:
         """Reference implementation: one ``predict_proba`` per estimator.
 
-        Kept for equivalence tests and the looped-vs-batched benchmark
-        (``benchmarks/test_serve.py``); prefer :meth:`predict_proba`.
+        The oracle of the stacked-tree kernel and the no-compiler path of
+        :meth:`predict_proba`; prefer the latter.
         """
         if not self.estimators_:
             raise RuntimeError("fit() first")

@@ -1,73 +1,62 @@
 """Presorted tree-training engine: the fitting hot path.
 
-The seed implementation of :meth:`repro.ml.tree.DecisionTreeBase._grow`
-re-sorts every candidate feature column at every node -- an
-``O(nodes x F x n log n)`` Python-level loop that dominates the runtime
-of every Bagging fit (and therefore every experiment: each LOO fold fits
-10 REPTrees).  This module replaces the per-node argsorts with a
-*presort-once* scheme:
+The reference grower (:meth:`repro.ml.tree.DecisionTreeBase
+._grow_reference`) re-sorts every candidate feature column at every node
+-- an ``O(nodes x F x n log n)`` Python-level loop that dominates the
+runtime of every Bagging fit (and therefore every experiment: each LOO
+fold fits 10 REPTrees).  This module replaces the per-node argsorts with
+a *presort-once* scheme run by a small C kernel (built through
+:mod:`repro.native` on first use):
 
 * each feature column is stably argsorted exactly once at the root;
 * node partitions stably split the per-feature sorted index sets by the
   chosen split mask (an ``O(F x n)`` scan), so every node always sees
   its rows in the same order the reference grower would have obtained
-  from ``np.argsort(x, kind="stable")`` on its subset.
+  from ``np.argsort(x, kind="stable")`` on its subset;
+* the split search fuses the cumulative class counts, candidate
+  enumeration and split scoring into one pass per node.
 
-Two split-search kernels run on top of the presorted orders:
-
-* a small C kernel, compiled on first use with the system C compiler and
-  loaded through :mod:`ctypes` (same pattern and graceful fallback as
-  :mod:`repro.serve.engine`), which fuses the cumulative class counts,
-  candidate enumeration and split scoring into one pass per node;
-* a pure-NumPy scan (:func:`_scan_sorted`) -- the always-available
-  fallback, and the *shared* implementation behind the reference
-  :func:`repro.ml.tree._best_split` oracle, so its floats are identical
-  to the reference by construction.
+Without a compiler (or when labels are not 0/1) the reference grower
+runs instead; it is both the oracle and the fallback.
 
 Bit-identity contract
 ---------------------
 
-Trees grown through this engine are **node-for-node identical** to the
+Trees grown through the kernel are **node-for-node identical** to the
 reference grower -- same feature, threshold and class counts at every
 node, ties and duplicated feature values included -- so every report
-byte and run-manifest ``report_sha256`` is unchanged.  The NumPy path
-achieves this by performing the exact same float64 operations on the
-exact same values in the same order.  The C kernel cannot call NumPy's
-``log`` (libm's ``log`` differs from it in the last ulp), so it scores
-candidates on an order-equivalent integer-count statistic
+byte and run-manifest ``report_sha256`` is unchanged.  The kernel cannot
+call NumPy's ``log`` (libm's ``log`` differs from it in the last ulp),
+so it scores candidates on an order-equivalent integer-count statistic
 ``S = -(sum of k*ln(k) terms)`` built from a NumPy-precomputed
 ``k -> k*ln(k)`` table, and *selects* rather than scores: whenever the
 winning margin is within a guard band (``~1e-6`` nats of gain, orders
-of magnitude above both kernels' rounding error) -- or the winner sits
-within the band of the ``min_gain`` acceptance threshold -- the node is
-declared uncertain and re-searched with the NumPy scan.  Exact ties
-(mirrored or duplicated count partitions, the common case on real data)
-are recognised structurally and resolved first-wins, exactly like the
-reference's ``argmax``/strict-``>`` scan.
-
-Engine selection: ``REPRO_FIT_ENGINE`` (``auto`` | ``c`` | ``numpy`` |
-``reference``) or the ``engine`` argument of the tree constructors;
-``REPRO_FIT_NO_CKERNEL=1`` disables compilation entirely.
+of magnitude above both implementations' rounding error) -- or the
+winner sits within the band of the ``min_gain`` acceptance threshold --
+the node is declared uncertain and re-searched by
+:func:`_search_sorted`, the reference scan over the node's presorted
+orders.  Exact ties (mirrored or duplicated count partitions, the common
+case on real data) are recognised structurally and resolved first-wins,
+exactly like the reference's ``argmax``/strict-``>`` scan.
 """
 
 from __future__ import annotations
 
 import ctypes
-import os
-import threading
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from ..native import build_kernel
+from ..native import build_kernel, load_once
 
 _EPS = 1e-12
 
 #: Guard band (in nats of information gain) around split-selection
-#: decisions made by the C kernel.  Both kernels' rounding errors are
-#: below ~1e-12 nats, so a margin above the band is decided identically
-#: by both; anything inside it falls back to the NumPy reference scan.
+#: decisions made by the C kernel.  Its rounding error and the reference
+#: scan's are both below ~1e-12 nats, so a margin above the band is
+#: decided identically by both; anything inside it is re-searched by the
+#: reference scan.
 UNCERTAIN_GAIN_MARGIN = 1e-6
 
 
@@ -137,12 +126,9 @@ def _scan_sorted(
 ) -> tuple[float, float] | None:
     """Best (threshold, gain) of one feature already in sorted order.
 
-    This is the reference split scan: :func:`repro.ml.tree._best_split`
-    calls it after argsorting each column, and the presorted NumPy
-    engine calls it on its maintained orders -- one implementation, so
-    the two are bit-identical by construction.  Candidates are midpoints
-    between consecutive distinct sorted values; gain is the information
-    gain of the induced binary partition.
+    The one split scan, run per feature by :func:`_search_sorted`.
+    Candidates are midpoints between consecutive distinct sorted values;
+    gain is the information gain of the induced binary partition.
     """
     n = len(ys)
     if xs[0] == xs[-1]:
@@ -172,6 +158,38 @@ def _scan_sorted(
     return float((xs[k] + xs[k + 1]) / 2.0), g
 
 
+def _search_sorted(
+    columns: np.ndarray,
+    y: np.ndarray,
+    orders: np.ndarray | Mapping[int, np.ndarray],
+    feats: Iterable[int],
+    min_samples_leaf: int,
+    min_gain: float,
+    parent_entropy: float,
+    total_pos: float,
+) -> tuple[int, float, float] | None:
+    """Best (feature, threshold, gain) over the candidate features.
+
+    ``orders[f]`` lists the node's rows in stable sorted order of
+    ``columns[f]``.  Each feature is scanned by :func:`_scan_sorted`
+    (first maximum within a feature) and features compete by strict
+    ``>`` in ``feats`` order.  The reference grower calls this after its
+    per-node argsorts; the C path calls it on the presorted orders of the
+    nodes it declares uncertain -- one scan, so both are bit-identical by
+    construction.
+    """
+    best: tuple[int, float, float] | None = None
+    for f in feats:
+        order = orders[f]
+        found = _scan_sorted(
+            columns[f][order], y[order], total_pos, min_samples_leaf,
+            min_gain, parent_entropy,
+        )
+        if found is not None and (best is None or found[1] > best[2]):
+            best = (int(f), found[0], found[1])
+    return best
+
+
 # -- compiled split-search kernel ---------------------------------------
 
 _KERNEL_SOURCE = r"""
@@ -188,7 +206,7 @@ _KERNEL_SOURCE = r"""
  * the candidate's count partition equals or mirrors the incumbent's
  * (those are exact ties in any IEEE implementation); any other
  * within-band rival makes the node "uncertain" and the caller
- * re-searches it with the NumPy reference scan.
+ * re-searches it with the reference scan.
  *
  * Returns 1 = split found, 0 = no admissible split, -1 = uncertain.
  */
@@ -285,11 +303,6 @@ void repro_fit_partition(
 }
 """.replace("UNCERTAIN_GAIN_MARGIN", repr(UNCERTAIN_GAIN_MARGIN))
 
-_kernel_lock = threading.Lock()
-_kernel: "ctypes.CDLL | None" = None
-_kernel_tried = False
-
-
 def _compile_kernel() -> "ctypes.CDLL | None":
     """Compile and load the C kernel; ``None`` when unavailable."""
     ptr = ctypes.c_void_p
@@ -311,20 +324,12 @@ def _compile_kernel() -> "ctypes.CDLL | None":
                 None,
             ),
         },
-        disable_env="REPRO_FIT_NO_CKERNEL",
     )
 
 
 def _get_kernel() -> "ctypes.CDLL | None":
-    """The process-wide compiled kernel (compiled once, lazily)."""
-    global _kernel, _kernel_tried
-    if _kernel_tried:
-        return _kernel
-    with _kernel_lock:
-        if not _kernel_tried:
-            _kernel = _compile_kernel()
-            _kernel_tried = True
-    return _kernel
+    """The process-wide compiled kernel (built on first use)."""
+    return load_once("fit", _compile_kernel)
 
 
 def has_ckernel() -> bool:
@@ -332,93 +337,13 @@ def has_ckernel() -> bool:
     return _get_kernel() is not None
 
 
-def resolve_engine(requested: str | None = None) -> str:
-    """Resolve an engine request to ``c``, ``numpy`` or ``reference``.
-
-    ``None`` defers to ``$REPRO_FIT_ENGINE`` (default ``auto``); ``auto``
-    prefers the compiled kernel and falls back to the presorted NumPy
-    scan.  Requesting ``c`` without a compiler raises.
-    """
-    name = requested or os.environ.get("REPRO_FIT_ENGINE") or "auto"
-    if name not in ("auto", "c", "numpy", "reference"):
-        raise ValueError(f"unknown fit engine {name!r}")
-    if name == "auto":
-        return "c" if has_ckernel() else "numpy"
-    if name == "c" and not has_ckernel():
-        raise RuntimeError("compiled fit kernel unavailable")
-    return name
-
-
 def active_engine() -> str:
-    """Resolved default engine name for observability (never raises)."""
-    try:
-        return resolve_engine(None)
-    except (RuntimeError, ValueError):
-        return "numpy"
+    """``c`` when the kernel is available, else ``numpy``."""
+    return "c" if has_ckernel() else "numpy"
 
 
 def _ptr(array: np.ndarray) -> ctypes.c_void_p:
     return ctypes.c_void_p(array.ctypes.data)
-
-
-def _search_numpy(
-    Xcols: np.ndarray,
-    y: np.ndarray,
-    orders: np.ndarray,
-    feats: np.ndarray,
-    min_samples_leaf: int,
-    min_gain: float,
-    parent_entropy: float,
-    total_pos: float,
-) -> tuple[int, float] | None:
-    """Best (feature, threshold) via the presorted NumPy scan.
-
-    All candidate features are scored in one 2-D pass: candidates are
-    value boundaries inside the ``min_samples_leaf`` window, gathered
-    with ``nonzero`` in row-major = (feature order, sorted position)
-    order, so a flat ``argmax`` over their gains reproduces the
-    reference selection exactly -- per-feature first maximum, strict
-    ``>`` across features.  Per-candidate gains are the same elementwise
-    float64 operations on the same values as :func:`_scan_sorted`, hence
-    bit-identical; on quantized features (grid coordinates, pin counts)
-    the candidate set shrinks by orders of magnitude.
-    """
-    m = orders.shape[1]
-    if m < 2 * min_samples_leaf:
-        return None
-    IDX = orders[feats]
-    XS = Xcols[feats[:, None], IDX]
-    varying = XS[:, 0] != XS[:, -1]
-    if not varying.all():
-        if not varying.any():
-            return None
-        feats = feats[varying]
-        IDX = IDX[varying]
-        XS = XS[varying]
-    YS = y[IDX]
-    cum_pos = np.cumsum(YS, axis=1)
-    lo = min_samples_leaf - 1
-    hi = m - min_samples_leaf  # last admissible candidate is hi - 1
-    rows, cols = np.nonzero(XS[:, lo:hi] < XS[:, lo + 1 : hi + 1])
-    if len(rows) == 0:
-        return None
-    cols += lo
-    left_n = cols + 1
-    left_pos = cum_pos[rows, cols]
-    left_neg = left_n - left_pos
-    right_n = m - left_n
-    right_pos = total_pos - left_pos
-    right_neg = right_n - right_pos
-    child_entropy = (
-        left_n * _entropy_terms(left_pos, left_neg)
-        + right_n * _entropy_terms(right_pos, right_neg)
-    ) / m
-    gain = parent_entropy - child_entropy
-    j = int(np.argmax(gain))
-    if float(gain[j]) <= min_gain:
-        return None
-    r, k = int(rows[j]), int(cols[j])
-    return int(feats[r]), float((XS[r, k] + XS[r, k + 1]) / 2.0)
 
 
 def grow_tree(
@@ -429,17 +354,21 @@ def grow_tree(
     min_samples_leaf: int,
     min_gain: float,
     depth: int = 0,
-    use_c: bool = False,
 ) -> tuple[_Node, dict[str, int]]:
-    """Grow a (sub)tree from presorted feature orders.
+    """Grow a (sub)tree from presorted feature orders with the C kernel.
 
     Node processing order, pre-split checks, candidate-feature sampling
     (``candidate_features`` is consulted once per expandable node, in the
     same order as the reference grower -- which keeps RandomTree's RNG
     stream identical) and split selection all mirror
-    :meth:`DecisionTreeBase._grow` exactly.  Returns the root node plus
-    ``{"nodes", "splits", "fallbacks"}`` counters.
+    :meth:`DecisionTreeBase._grow_reference` exactly.  Returns the root
+    node plus ``{"nodes", "splits", "fallbacks"}`` counters, where
+    ``fallbacks`` counts the uncertain nodes re-searched by
+    :func:`_search_sorted`.  Raises ``RuntimeError`` without a kernel.
     """
+    lib = _get_kernel()
+    if lib is None:
+        raise RuntimeError("compiled fit kernel unavailable")
     X = np.asarray(X, dtype=np.float64)
     y = np.ascontiguousarray(np.asarray(y, dtype=np.float64))
     n, n_features = X.shape
@@ -447,16 +376,10 @@ def grow_tree(
     orders = np.empty((n_features, n), dtype=np.int32)
     for f in range(n_features):
         orders[f] = np.argsort(Xcols[f], kind="stable")
-
-    lib = _get_kernel() if use_c else None
-    if use_c and lib is None:
-        raise RuntimeError("compiled fit kernel unavailable")
-    if lib is not None:
-        k = np.arange(n + 1, dtype=np.float64)
-        xlogx = k * np.log(np.maximum(k, 1.0))
-        out_feature = np.zeros(1, dtype=np.int32)
-        out_threshold = np.zeros(1, dtype=np.float64)
-    flags = np.empty(n, dtype=bool)
+    k = np.arange(n + 1, dtype=np.float64)
+    xlogx = k * np.log(np.maximum(k, 1.0))
+    out_feature = np.zeros(1, dtype=np.int32)
+    out_threshold = np.zeros(1, dtype=np.float64)
 
     stats = {"nodes": 0, "splits": 0, "fallbacks": 0}
     root_pos = float(y.sum())
@@ -474,57 +397,39 @@ def grow_tree(
             or (max_depth is not None and d >= max_depth)
         ):
             continue
-        feats = np.asarray(candidate_features(n_features))
+        feats = np.ascontiguousarray(candidate_features(n_features), dtype=np.int32)
         parent_entropy = _entropy_scalar(pos, neg)
-        split: tuple[int, float] | None
-        if lib is not None:
-            feats32 = np.ascontiguousarray(feats, dtype=np.int32)
-            status = lib.repro_fit_best_split(
-                _ptr(Xcols), _ptr(y), n,
-                _ptr(node_orders), m,
-                _ptr(feats32), len(feats32),
-                min_samples_leaf, int(pos),
-                parent_entropy, min_gain,
-                _ptr(xlogx), _ptr(out_feature), _ptr(out_threshold),
-            )
-            if status < 0:  # uncertain: margin inside the guard band
-                stats["fallbacks"] += 1
-                split = _search_numpy(
-                    Xcols, y, node_orders, feats,
-                    min_samples_leaf, min_gain, parent_entropy, pos,
-                )
-            elif status == 0:
-                split = None
-            else:
-                split = (int(out_feature[0]), float(out_threshold[0]))
-        else:
-            split = _search_numpy(
+        status = lib.repro_fit_best_split(
+            _ptr(Xcols), _ptr(y), n,
+            _ptr(node_orders), m,
+            _ptr(feats), len(feats),
+            min_samples_leaf, int(pos),
+            parent_entropy, min_gain,
+            _ptr(xlogx), _ptr(out_feature), _ptr(out_threshold),
+        )
+        if status == 0:
+            continue
+        if status > 0:
+            feature, threshold = int(out_feature[0]), float(out_threshold[0])
+        else:  # uncertain: margin inside the guard band
+            stats["fallbacks"] += 1
+            found = _search_sorted(
                 Xcols, y, node_orders, feats,
                 min_samples_leaf, min_gain, parent_entropy, pos,
             )
-        if split is None:
-            continue
-        feature, threshold = split
+            if found is None:
+                continue
+            feature, threshold, _gain = found
         ord_split = node_orders[feature]
-        go_left = Xcols[feature][ord_split] <= threshold
-        m_left = int(np.count_nonzero(go_left))
-        pos_left = float(y[ord_split[go_left]].sum())
-        if lib is not None:
-            left_orders = np.empty((n_features, m_left), dtype=np.int32)
-            right_orders = np.empty((n_features, m - m_left), dtype=np.int32)
-            lib.repro_fit_partition(
-                _ptr(Xcols[feature]), threshold,
-                _ptr(node_orders), m, n_features, m_left,
-                _ptr(left_orders), _ptr(right_orders),
-            )
-        else:
-            # Row-major boolean selection keeps each feature's order
-            # stable, and every row keeps exactly m_left entries, so the
-            # flat selections reshape back into per-feature orders.
-            flags[ord_split] = go_left
-            sel = flags[node_orders]
-            left_orders = node_orders[sel].reshape(n_features, m_left)
-            right_orders = node_orders[~sel].reshape(n_features, m - m_left)
+        m_left = int(np.count_nonzero(Xcols[feature][ord_split] <= threshold))
+        left_orders = np.empty((n_features, m_left), dtype=np.int32)
+        right_orders = np.empty((n_features, m - m_left), dtype=np.int32)
+        lib.repro_fit_partition(
+            _ptr(Xcols[feature]), threshold,
+            _ptr(node_orders), m, n_features, m_left,
+            _ptr(left_orders), _ptr(right_orders),
+        )
+        pos_left = float(y[left_orders[feature]].sum())
         stats["splits"] += 1
         node.feature = feature
         node.threshold = threshold

@@ -20,14 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fit_engine import (  # noqa: F401  (re-exported for compatibility)
-    _EPS,
+from ..obs.metrics import counter
+from .fit_engine import (
     _Node,
     _entropy_scalar,
-    _entropy_terms,
-    _scan_sorted,
+    _search_sorted,
     grow_tree,
-    resolve_engine,
+    has_ckernel,
 )
 
 
@@ -40,28 +39,17 @@ def _best_split(
 ) -> tuple[int, float, float] | None:
     """Best (feature, threshold, gain) over the candidate features.
 
-    This is the reference split search the presorted engines are held
-    bit-identical to: it argsorts each candidate column and hands the
-    sorted view to the shared :func:`repro.ml.fit_engine._scan_sorted`.
+    This is the reference split search the C kernel is held bit-identical
+    to: it argsorts each candidate column and hands the orders to the
+    shared :func:`repro.ml.fit_engine._search_sorted`.
     """
-    n = len(y)
     total_pos = float(y.sum())
-    total_neg = n - total_pos
-    parent_entropy = _entropy_scalar(total_pos, total_neg)
-    best: tuple[int, float, float] | None = None
-    for f in feature_indices:
-        x = X[:, f]
-        order = np.argsort(x, kind="stable")
-        found = _scan_sorted(
-            x[order], y[order], total_pos, min_samples_leaf, min_gain,
-            parent_entropy,
-        )
-        if found is None:
-            continue
-        threshold, g = found
-        if best is None or g > best[2]:
-            best = (int(f), threshold, g)
-    return best
+    parent_entropy = _entropy_scalar(total_pos, len(y) - total_pos)
+    orders = {f: np.argsort(X[:, f], kind="stable") for f in feature_indices}
+    return _search_sorted(
+        X.T, y, orders, feature_indices, min_samples_leaf, min_gain,
+        parent_entropy, total_pos,
+    )
 
 
 @dataclass
@@ -109,12 +97,10 @@ class DecisionTreeBase:
         min_samples_leaf: int = 2,
         min_gain: float = 1e-7,
         seed: int | np.random.Generator = 0,
-        engine: str | None = None,
     ) -> None:
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
         self.min_gain = min_gain
-        self.engine = engine
         self.rng = np.random.default_rng(seed)
         self._tree: _FrozenTree | None = None
         self._prior = 0.5
@@ -129,53 +115,52 @@ class DecisionTreeBase:
     # -- fitting --------------------------------------------------------
 
     def _grow(self, X: np.ndarray, y: np.ndarray, depth: int) -> _Node:
-        """Grow a (sub)tree through the selected fit engine.
+        """Grow a (sub)tree: the C kernel, else the reference grower.
 
-        All engines produce node-for-node identical trees; see
-        :mod:`repro.ml.fit_engine` for the bit-identity contract.
+        Both produce node-for-node identical trees; see
+        :mod:`repro.ml.fit_engine` for the bit-identity contract.  The
+        kernel assumes 0/1 labels (exact integer counts), so other labels
+        take the reference grower too.
         """
-        engine = resolve_engine(self.engine)
-        if engine != "reference" and not self._presortable(y):
-            engine = "reference"
-        if engine == "reference":
-            return self._grow_reference(X, y, depth)
-        root, stats = grow_tree(
-            X,
-            y,
-            candidate_features=self._candidate_features,
-            max_depth=self.max_depth,
-            min_samples_leaf=self.min_samples_leaf,
-            min_gain=self.min_gain,
-            depth=depth,
-            use_c=(engine == "c"),
-        )
+        if has_ckernel() and np.isin(y, (0.0, 1.0)).all():
+            engine = "c"
+            root, stats = grow_tree(
+                X,
+                y,
+                candidate_features=self._candidate_features,
+                max_depth=self.max_depth,
+                min_samples_leaf=self.min_samples_leaf,
+                min_gain=self.min_gain,
+                depth=depth,
+            )
+        else:
+            engine = "numpy"
+            root, stats = self._grow_reference(X, y, depth)
         self._record_grow_stats(engine, stats)
         return root
 
     @staticmethod
-    def _presortable(y: np.ndarray) -> bool:
-        """Presorted engines assume 0/1 labels (exact integer counts)."""
-        return bool(np.isin(y, (0.0, 1.0)).all())
-
-    @staticmethod
     def _record_grow_stats(engine: str, stats: dict[str, int]) -> None:
-        try:
-            from ..obs.metrics import counter
-        except ImportError:  # pragma: no cover - obs is optional here
-            return
         counter("tree_fits", engine=engine).inc()
         counter("fit_split_nodes").inc(stats["splits"])
         if stats["fallbacks"]:
             counter("fit_kernel_fallbacks").inc(stats["fallbacks"])
 
-    def _grow_reference(self, X: np.ndarray, y: np.ndarray, depth: int) -> _Node:
-        """Reference grower: per-node argsorts (the bit-identity oracle)."""
+    def _grow_reference(
+        self, X: np.ndarray, y: np.ndarray, depth: int
+    ) -> tuple[_Node, dict[str, int]]:
+        """Reference grower: per-node argsorts (the bit-identity oracle).
+
+        Returns the root plus the ``{"splits", "fallbacks"}`` counters
+        :meth:`_record_grow_stats` reads (no kernel, so no fallbacks).
+        """
 
         def new_node(ys: np.ndarray) -> _Node:
             pos = float(ys.sum())
             return _Node(grow_pos=pos, grow_neg=float(len(ys) - pos))
 
         root = new_node(y)
+        stats = {"splits": 0, "fallbacks": 0}
         stack: list[tuple[_Node, np.ndarray, np.ndarray, int]] = [
             (root, X, y, depth)
         ]
@@ -200,13 +185,14 @@ class DecisionTreeBase:
                 continue
             feature, threshold, _gain = split
             mask = Xn[:, feature] <= threshold
+            stats["splits"] += 1
             node.feature = feature
             node.threshold = threshold
             node.left = new_node(yn[mask])
             node.right = new_node(yn[~mask])
             stack.append((node.left, Xn[mask], yn[mask], d + 1))
             stack.append((node.right, Xn[~mask], yn[~mask], d + 1))
-        return root
+        return root, stats
 
     def _route(self, root: _Node, X: np.ndarray, y: np.ndarray, field_prefix: str) -> None:
         """Accumulate per-node class counts of ``(X, y)`` into the tree."""
@@ -376,9 +362,8 @@ class REPTree(DecisionTreeBase):
         min_gain: float = 1e-7,
         num_folds: int = 3,
         seed: int | np.random.Generator = 0,
-        engine: str | None = None,
     ) -> None:
-        super().__init__(max_depth, min_samples_leaf, min_gain, seed, engine)
+        super().__init__(max_depth, min_samples_leaf, min_gain, seed)
         if num_folds < 2:
             raise ValueError("num_folds must be >= 2")
         self.num_folds = num_folds

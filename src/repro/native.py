@@ -5,13 +5,14 @@ stacked-tree inference, top-K merging) ships its source as a string and
 builds it through :func:`build_kernel`: the system C compiler (``$CC``,
 else ``cc``/``gcc``) compiles it with ``-O2 -shared -fPIC`` into a fresh
 per-process temporary directory (removed at exit), and :mod:`ctypes`
-loads it with the declared signatures.
+loads it with the declared signatures.  :func:`load_once` makes that
+build happen at most once per kernel and process.
 
 A kernel that cannot be built never raises: the caller gets ``None`` and
 runs its NumPy path.  Such a fallback stays loud -- each failed build
 increments ``native_compile_failures{kernel=...}`` and logs one WARNING
-line.  A kernel switched off on purpose through its opt-out environment
-variable is not a failure and is neither counted nor logged.
+line.  There is no opt-out knob: ``CC=/nonexistent`` simulates a host
+without a compiler.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import os
 import shutil
 import subprocess
 import tempfile
-from typing import Any, Mapping, Sequence
+import threading
+from typing import Any, Callable, Mapping, Sequence
 
 from .obs.logging import get_logger
 from .obs.metrics import counter
@@ -45,19 +47,13 @@ def _failed(kernel: str, reason: str) -> None:
 
 
 def build_kernel(
-    kernel: str,
-    source: str,
-    signatures: Signatures,
-    disable_env: str | None = None,
+    kernel: str, source: str, signatures: Signatures
 ) -> "ctypes.CDLL | None":
     """Compile ``source`` and load it; ``None`` when unavailable.
 
     ``kernel`` names the build (temp-dir prefix, counter label, log
-    line); ``disable_env`` names an environment variable that, when set
-    to a non-empty value, skips the build without counting a failure.
+    line).
     """
-    if disable_env and os.environ.get(disable_env):
-        return None
     compiler = os.environ.get("CC") or shutil.which("cc") or shutil.which("gcc")
     if compiler is None:
         return _failed(kernel, "no C compiler found (set $CC)")
@@ -85,3 +81,27 @@ def build_kernel(
         return _failed(kernel, f"{compiler} exited {error.returncode}: {stderr[:500]}")
     except (OSError, AttributeError, subprocess.SubprocessError) as error:
         return _failed(kernel, f"{type(error).__name__}: {error}")
+
+
+_lock = threading.Lock()
+_loaded: dict[str, "ctypes.CDLL | None"] = {}
+
+
+def load_once(
+    kernel: str, build: Callable[[], "ctypes.CDLL | None"]
+) -> "ctypes.CDLL | None":
+    """The process-wide result of ``build()`` for ``kernel``.
+
+    The first call runs ``build`` under a lock, so concurrent first
+    callers build once; every later call returns that result, ``None``
+    included, so a failed build is counted and logged once per process.
+    Forked workers inherit whatever the parent already loaded.
+    """
+    try:
+        return _loaded[kernel]
+    except KeyError:
+        pass
+    with _lock:
+        if kernel not in _loaded:
+            _loaded[kernel] = build()
+        return _loaded[kernel]

@@ -3,8 +3,8 @@
 Serving traffic is many *small* scoring requests arriving at once; the
 inference engine (:mod:`repro.serve.engine`) is fastest on *large*
 matrices, because every ``predict_proba`` invocation pays a fixed cost
-(Python dispatch, kernel setup, and -- on the NumPy fallback -- a full
-Python-level walk of the stacked node table) before the per-row work
+(Python dispatch, kernel setup, and -- on the no-compiler path -- a
+full Python-level walk of every estimator) before the per-row work
 starts.  :class:`MicroBatcher` converts the former shape into the
 latter: handler threads :meth:`~MicroBatcher.submit` ``(model, X)`` work
 items onto a queue, a single dispatcher thread drains it with a small
@@ -14,9 +14,9 @@ and scatters the per-request probability slices back to each caller's
 future.
 
 Correctness rests on the engine's row-independence contract: every
-kernel scores each sample row in isolation (the C and NumPy traversals
-accumulate leaf values per row in estimator order regardless of which
-other rows share the batch), so the slice a request gets back from a
+kernel scores each sample row in isolation (the C traversal and the
+per-estimator reference loop accumulate leaf values per row in estimator
+order regardless of which other rows share the batch), so the slice a request gets back from a
 merged batch is **bit-identical** to what scoring its matrix alone
 would have produced.  Items are grouped by ``(model_key, id(model))``,
 never by key alone, so a model hot-swapped by the registry mid-flight

@@ -1,39 +1,35 @@
 """Stacked-tree batched inference: the serving hot path.
 
-The seed implementation of :meth:`repro.ml.bagging.Bagging.predict_proba`
-walked the estimators one by one, paying the full per-level NumPy
-bookkeeping once per tree.  :class:`StackedEnsemble` flattens *all* trees
-of an ensemble into one contiguous node table (feature, threshold, left,
-right, leaf value) and scores sample matrices in bounded-memory chunks.
+The per-estimator reference loop
+(:meth:`repro.ml.bagging.Bagging.predict_proba_looped`) walks the
+estimators one by one, paying the full per-level NumPy bookkeeping once
+per tree.  :class:`StackedEnsemble` flattens *all* trees of an ensemble
+into one contiguous node table (feature, threshold, left, right, leaf
+value) and scores sample matrices in bounded-memory chunks through a
+small C kernel built with :mod:`repro.native` on first use: the
+sample-outer loop walks all trees for one sample while its feature row
+sits in cache (an order of magnitude faster than the per-estimator
+loop).
 
-Two kernels execute the traversal:
-
-* a small C kernel, compiled on first use with the system C compiler and
-  loaded through :mod:`ctypes` -- the sample-outer loop walks all trees
-  for one sample while its feature row sits in cache (an order of
-  magnitude faster than the per-estimator loop);
-* a pure-NumPy depth-first partition kernel, used when no compiler is
-  available (or ``REPRO_SERVE_NO_CKERNEL=1``).
-
-Both kernels accumulate per-sample leaf values in estimator order, so the
-ensemble probability is **bit-identical** to the per-estimator reference
-loop (:meth:`repro.ml.bagging.Bagging.predict_proba_looped`) -- the same
-float64 additions happen in the same order.  ``repro.attack.framework``
-and ``repro.attack.topk`` inherit the fast path automatically because
-``Bagging.predict_proba`` now routes through this engine.
+The kernel accumulates per-sample leaf values in estimator order, so the
+ensemble probability is **bit-identical** to the reference loop -- the
+same float64 additions happen in the same order.  That loop is the
+oracle and the no-compiler path: ``Bagging.predict_proba`` runs it when
+:func:`has_ckernel` is false, and stacks its trees here otherwise, so
+``repro.attack.framework`` and ``repro.attack.topk`` inherit the kernel
+automatically.
 """
 
 from __future__ import annotations
 
 import ctypes
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from ..ml.tree import DecisionTreeBase
-from ..native import build_kernel
+from ..native import build_kernel, load_once
 
 #: Samples scored per kernel invocation; bounds transient memory at
 #: ``O(chunk)`` regardless of how many pairs one request carries.
@@ -70,11 +66,6 @@ void repro_predict_stacked(
 }
 """
 
-_kernel_lock = threading.Lock()
-_kernel: "ctypes.CDLL | None" = None
-_kernel_tried = False
-
-
 def _compile_kernel() -> "ctypes.CDLL | None":
     """Compile and load the C kernel; ``None`` when unavailable."""
     ptr = ctypes.c_void_p
@@ -90,20 +81,12 @@ def _compile_kernel() -> "ctypes.CDLL | None":
                 None,
             ),
         },
-        disable_env="REPRO_SERVE_NO_CKERNEL",
     )
 
 
 def _get_kernel() -> "ctypes.CDLL | None":
-    """The process-wide compiled kernel (compiled once, lazily)."""
-    global _kernel, _kernel_tried
-    if _kernel_tried:
-        return _kernel
-    with _kernel_lock:
-        if not _kernel_tried:
-            _kernel = _compile_kernel()
-            _kernel_tried = True
-    return _kernel
+    """The process-wide compiled kernel (built on first use)."""
+    return load_once("serve", _compile_kernel)
 
 
 def has_ckernel() -> bool:
@@ -210,70 +193,19 @@ class StackedEnsemble:
     def n_nodes(self) -> int:
         return len(self.feature)
 
-    # -- kernels --------------------------------------------------------
-
-    def _run_c(self, X: np.ndarray, values: np.ndarray, out: np.ndarray) -> None:
-        """Score one contiguous chunk through the compiled kernel."""
-        lib = _get_kernel()
-        assert lib is not None
-
-        def ptr(array: np.ndarray) -> ctypes.c_void_p:
-            return ctypes.c_void_p(array.ctypes.data)
-
-        lib.repro_predict_stacked(
-            ptr(X), ctypes.c_long(len(X)), ctypes.c_int(self.n_features),
-            ptr(self.feature), ptr(self.threshold),
-            ptr(self.left), ptr(self.right), ptr(values),
-            ptr(self.roots), ctypes.c_int(self.n_trees), ptr(out),
-        )
-
-    def _run_numpy(self, X: np.ndarray, values: np.ndarray, out: np.ndarray) -> None:
-        """Pure-NumPy fallback: depth-first sample partitioning per tree.
-
-        Routes each tree's whole sample block down the tree by splitting
-        row-index sets at each node, accumulating leaf values into
-        ``out`` in tree order (same additions as the C kernel).
-        """
-        n = len(X)
-        out[:] = 0.0
-        columns = np.ascontiguousarray(X.T)
-        all_rows = np.arange(n)
-        for root in self.roots:
-            stack: list[tuple[int, np.ndarray]] = [(int(root), all_rows)]
-            while stack:
-                node, rows = stack.pop()
-                left_child = self.left[node]
-                if left_child < 0:
-                    out[rows] += values[node]
-                    continue
-                go_left = (
-                    columns[self.feature[node]][rows] <= self.threshold[node]
-                )
-                rows_right = rows[~go_left]
-                rows_left = rows[go_left]
-                if len(rows_right):
-                    stack.append((int(self.right[node]), rows_right))
-                if len(rows_left):
-                    stack.append((int(left_child), rows_left))
-
     # -- inference ------------------------------------------------------
 
     def predict_proba(
-        self,
-        X: np.ndarray,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        kernel: str = "auto",
+        self, X: np.ndarray, chunk_size: int = DEFAULT_CHUNK_SIZE
     ) -> np.ndarray:
         """Ensemble probability per sample (paper Eq. 3), chunked.
 
-        ``kernel`` selects the traversal implementation: ``"auto"``
-        prefers the compiled kernel, ``"c"`` requires it and ``"numpy"``
-        forces the fallback; all produce bit-identical output.
+        Raises ``RuntimeError`` when the kernel is unavailable; callers
+        without a compiler score through
+        :meth:`~repro.ml.bagging.Bagging.predict_proba_looped`.
         """
         if chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
-        if kernel not in ("auto", "c", "numpy"):
-            raise ValueError(f"unknown kernel {kernel!r}")
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise ValueError("X must be 2-D")
@@ -281,19 +213,25 @@ class StackedEnsemble:
             raise ValueError(
                 f"expected {self.n_features} features, got {X.shape[1]}"
             )
-        if kernel == "c" and not has_ckernel():
-            raise RuntimeError("compiled kernel unavailable")
-        use_c = kernel != "numpy" and has_ckernel()
+        lib = _get_kernel()
+        if lib is None:
+            raise RuntimeError("compiled inference kernel unavailable")
+
+        def ptr(array: np.ndarray) -> ctypes.c_void_p:
+            return ctypes.c_void_p(array.ctypes.data)
+
         values = self.leaf_soft if self.voting == "soft" else self.leaf_hard
         n = len(X)
         out = np.empty(n)
         for start in range(0, n, chunk_size):
             stop = min(start + chunk_size, n)
             chunk = np.ascontiguousarray(X[start:stop])
-            if use_c:
-                self._run_c(chunk, values, out[start:stop])
-            else:
-                self._run_numpy(chunk, values, out[start:stop])
+            lib.repro_predict_stacked(
+                ptr(chunk), ctypes.c_long(len(chunk)), ctypes.c_int(self.n_features),
+                ptr(self.feature), ptr(self.threshold),
+                ptr(self.left), ptr(self.right), ptr(values),
+                ptr(self.roots), ctypes.c_int(self.n_trees), ptr(out[start:stop]),
+            )
         return out / self.n_trees
 
     def predict(self, X: np.ndarray, threshold: float = 0.5) -> np.ndarray:

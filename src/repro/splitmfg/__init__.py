@@ -11,7 +11,6 @@ from .featurize_engine import (
     PairFeaturizer,
     active_engine as featurize_active_engine,
     has_ckernel as featurize_has_ckernel,
-    resolve_engine as resolve_featurize_engine,
 )
 from .pair_features import (
     FEATURE_SETS,
@@ -80,7 +79,6 @@ __all__ = [
     "placement_congestion",
     "positive_pairs",
     "random_negative_pairs",
-    "resolve_featurize_engine",
     "routing_congestion",
     "save_challenge",
     "split_design",

@@ -5,59 +5,48 @@ temporary per feature (plus the gathers feeding it) and then copies
 everything again through ``np.column_stack`` -- at paper scale (up to
 ~2e5 v-pins, tens of millions of candidate pairs per design) that is
 both the dominant cost of a no-neighborhood scoring pass and an
-unbounded source of transient RSS.  This module featurizes ``(i, j)``
-chunks **into a caller-provided preallocated buffer** instead, through
-one of three engines:
+unbounded source of transient RSS.  :class:`PairFeaturizer` featurizes
+``(i, j)`` chunks **into a caller-provided preallocated buffer**
+instead, through a small C kernel built with :mod:`repro.native` on
+first use.  One pass over the pairs: per pair it gathers the nine base
+columns once, evaluates the requested features, and writes the row
+directly into the output buffer -- no per-feature temporaries at all.
+The paper's legality rule
+(:func:`~repro.splitmfg.pair_features.legal_pair_mask`) folds into the
+same pass: illegal pairs are skipped and surviving rows compacted in
+place.
 
-* ``c`` -- a small C kernel compiled on first use with the system C
-  compiler and loaded through :mod:`ctypes` (same pattern and graceful
-  fallback as :mod:`repro.ml.fit_engine` and the serve engine).  One
-  pass over the pairs: per pair it gathers the nine base columns once,
-  evaluates the requested features, and writes the row directly into
-  the output buffer -- no per-feature temporaries at all.  The paper's
-  legality rule (:func:`~repro.splitmfg.pair_features.legal_pair_mask`)
-  folds into the same pass: illegal pairs are skipped and surviving
-  rows compacted in place.
-* ``numpy`` -- the always-available fused fallback: every base column
-  is gathered at most once per chunk and each feature is computed with
-  ``out=`` ufunc calls straight into the buffer's columns (the buffer
-  is allocated feature-major for this engine, so those writes are
-  contiguous and the ``column_stack`` copy disappears entirely).
-* ``reference`` -- ``compute_pair_features`` copied into the buffer;
-  the oracle for tests and the baseline for benchmarks.
+Without a compiler the featurizer writes ``compute_pair_features`` into
+the buffer instead: the oracle the kernel is tested against doubles as
+the fallback.
 
 Bit-identity contract
 ---------------------
 
-All three engines produce **bit-identical** feature matrices.  Every
-feature is an absolute difference or a left-to-right float64 sum of
-gathered column values; C's ``fabs``/ordered ``+`` and NumPy's ufunc
-loops perform the same IEEE-754 double operations on the same values
-in the same order (the kernel is compiled without ``-ffast-math``, and
-no expression here admits an FMA contraction), so the bytes match --
+Both paths produce **bit-identical** feature matrices.  Every feature is
+an absolute difference or a left-to-right float64 sum of gathered
+column values; C's ``fabs``/ordered ``+`` and NumPy's ufunc loops
+perform the same IEEE-754 double operations on the same values in the
+same order (the kernel is compiled without ``-ffast-math``, and no
+expression here admits an FMA contraction), so the bytes match --
 asserted over a feature-set x chunk-size grid in
 ``tests/splitmfg/test_featurize_engine.py``, and the reason cached
-matrices and experiment report hashes are unchanged by engine choice.
+matrices and experiment report hashes do not depend on the compiler.
 
-Engine selection: ``$REPRO_FEATURIZE_ENGINE`` (``auto`` | ``c`` |
-``numpy`` | ``reference``) or the ``engine=`` argument;
-``REPRO_FEATURIZE_NO_CKERNEL=1`` disables compilation entirely.
-Observability: every chunk increments ``featurize_chunks{engine=...}``
-and lands in the ``featurize_rows`` histogram; an ``auto`` resolution
-that wanted the kernel but could not get one increments
-``featurize_kernel_fallbacks`` (see OBSERVABILITY.md).
+Observability: every chunk increments ``featurize_chunks{engine=c|numpy}``
+and lands in the ``featurize_rows`` histogram; every featurizer built
+without the kernel increments ``featurize_kernel_fallbacks`` (see
+OBSERVABILITY.md).
 """
 
 from __future__ import annotations
 
 import ctypes
-import os
-import threading
 from typing import Any, Mapping
 
 import numpy as np
 
-from ..native import build_kernel
+from ..native import build_kernel, load_once
 from ..obs.metrics import ROW_COUNT_BUCKETS, counter, histogram
 from .pair_features import FEATURES_11, compute_pair_features
 
@@ -142,11 +131,6 @@ int64_t repro_featurize(
 }
 """
 
-_kernel_lock = threading.Lock()
-_kernel: "ctypes.CDLL | None" = None
-_kernel_tried = False
-
-
 def _compile_kernel() -> "ctypes.CDLL | None":
     """Compile and load the C kernel; ``None`` when unavailable."""
     ptr = ctypes.c_void_p
@@ -161,20 +145,12 @@ def _compile_kernel() -> "ctypes.CDLL | None":
                 i64,
             ),
         },
-        disable_env="REPRO_FEATURIZE_NO_CKERNEL",
     )
 
 
 def _get_kernel() -> "ctypes.CDLL | None":
-    """The process-wide compiled kernel (compiled once, lazily)."""
-    global _kernel, _kernel_tried
-    if _kernel_tried:
-        return _kernel
-    with _kernel_lock:
-        if not _kernel_tried:
-            _kernel = _compile_kernel()
-            _kernel_tried = True
-    return _kernel
+    """The process-wide compiled kernel (built on first use)."""
+    return load_once("featurize", _compile_kernel)
 
 
 def has_ckernel() -> bool:
@@ -182,33 +158,9 @@ def has_ckernel() -> bool:
     return _get_kernel() is not None
 
 
-def resolve_engine(requested: str | None = None) -> str:
-    """Resolve an engine request to ``c``, ``numpy`` or ``reference``.
-
-    ``None`` defers to ``$REPRO_FEATURIZE_ENGINE`` (default ``auto``);
-    ``auto`` prefers the compiled kernel and falls back to the fused
-    NumPy pass (counting a ``featurize_kernel_fallbacks``).  Requesting
-    ``c`` without a compiler raises.
-    """
-    name = requested or os.environ.get("REPRO_FEATURIZE_ENGINE") or "auto"
-    if name not in ("auto", "c", "numpy", "reference"):
-        raise ValueError(f"unknown featurize engine {name!r}")
-    if name == "auto":
-        if has_ckernel():
-            return "c"
-        counter("featurize_kernel_fallbacks").inc()
-        return "numpy"
-    if name == "c" and not has_ckernel():
-        raise RuntimeError("compiled featurize kernel unavailable")
-    return name
-
-
 def active_engine() -> str:
-    """Resolved default engine name for observability (never raises)."""
-    try:
-        return resolve_engine(None)
-    except (RuntimeError, ValueError):
-        return "numpy"
+    """``c`` when the kernel is available, else ``numpy``."""
+    return "c" if has_ckernel() else "numpy"
 
 
 def _ptr(array: np.ndarray) -> ctypes.c_void_p:
@@ -234,14 +186,14 @@ class PairFeaturizer:
     mapping providing the nine ``BASE_COLUMNS`` arrays -- the latter is
     how pool workers featurize straight out of shared memory
     (:class:`repro.runtime.SharedArray`) without rebuilding v-pin
-    objects.
+    objects.  ``engine`` is ``c`` when the kernel loaded, else
+    ``numpy``.
     """
 
     def __init__(
         self,
         view: Any,
         features: tuple[str, ...] = FEATURES_11,
-        engine: str | None = None,
     ) -> None:
         self.features = tuple(features)
         if len(set(self.features)) != len(self.features):
@@ -251,8 +203,10 @@ class PairFeaturizer:
             raise ValueError(f"unknown features: {unknown}")
         if not self.features:
             raise ValueError("need at least one feature")
-        self.engine = resolve_engine(engine)
-        self.view = view
+        self._lib = _get_kernel()
+        if self._lib is None:
+            counter("featurize_kernel_fallbacks").inc()
+        self.engine = "numpy" if self._lib is None else "c"
         arrays: Mapping[str, np.ndarray] = (
             view.arrays() if hasattr(view, "arrays") else view
         )
@@ -275,7 +229,7 @@ class PairFeaturizer:
         return len(self.features)
 
     def column(self, name: str) -> np.ndarray:
-        """One of the ``BASE_COLUMNS`` as the engines read it (float64)."""
+        """One of the ``BASE_COLUMNS`` as the featurizer reads it (float64)."""
         return self._cols[name]
 
     def _packed_cols(self) -> np.ndarray:
@@ -289,18 +243,9 @@ class PairFeaturizer:
         return self._packed
 
     def out_buffer(self, capacity: int) -> np.ndarray:
-        """A ``(capacity, n_features)`` float64 buffer for this engine.
-
-        The C and reference engines write row-major (each pair's row is
-        contiguous, as the classifier chunks want it); the fused NumPy
-        engine gets a feature-major layout (``np.empty((F, cap)).T``) so
-        its per-feature ``out=`` writes are contiguous.  Both are valid
-        ``(capacity, F)`` arrays; consumers are layout-agnostic.
-        """
+        """A row-major ``(capacity, n_features)`` float64 buffer."""
         if capacity < 0:
             raise ValueError("capacity must be >= 0")
-        if self.engine == "numpy":
-            return np.empty((self.n_features, capacity)).T
         return np.empty((capacity, self.n_features))
 
     def _check_out(self, out: np.ndarray, needed: int) -> None:
@@ -332,14 +277,10 @@ class PairFeaturizer:
         if len(i) != len(j):
             raise ValueError("i and j disagree on pair count")
         self._check_out(out, len(i))
-        if self.engine == "c":
+        if self._lib is not None:
             self._c_rows(i, j, out, legal_only=False)
-        elif self.engine == "numpy":
-            self._numpy_rows(i, j, out)
         else:
-            out[: len(i)] = compute_pair_features(
-                self.view, i, j, self.features
-            )
+            out[: len(i)] = compute_pair_features(self._cols, i, j, self.features)
         self._observe(len(i))
         return out[: len(i)]
 
@@ -360,7 +301,7 @@ class PairFeaturizer:
         if len(i) != len(j):
             raise ValueError("i and j disagree on pair count")
         self._check_out(out, len(i))
-        if self.engine == "c":
+        if self._lib is not None:
             keep_i = np.empty(len(i), dtype=np.int64)
             keep_j = np.empty(len(j), dtype=np.int64)
             rows = self._c_rows(
@@ -371,12 +312,7 @@ class PairFeaturizer:
         out_area = self._cols["out_area"]
         legal = ~((out_area[i] > 0.0) & (out_area[j] > 0.0))
         i, j = i[legal], j[legal]
-        if self.engine == "numpy":
-            self._numpy_rows(i, j, out)
-        else:
-            out[: len(i)] = compute_pair_features(
-                self.view, i, j, self.features
-            )
+        out[: len(i)] = compute_pair_features(self._cols, i, j, self.features)
         self._observe(len(i))
         return i, j, out[: len(i)]
 
@@ -384,8 +320,6 @@ class PairFeaturizer:
         """Allocating convenience: a fresh exact-size feature matrix."""
         out = self.out_buffer(len(np.asarray(i)))
         return self.rows_into(i, j, out)
-
-    # -- engine back ends -------------------------------------------------
 
     def _c_rows(
         self,
@@ -396,14 +330,12 @@ class PairFeaturizer:
         keep_i: np.ndarray | None = None,
         keep_j: np.ndarray | None = None,
     ) -> int:
-        kernel = _get_kernel()
-        assert kernel is not None  # resolve_engine guarantees it
         if not out.flags.c_contiguous:
             raise ValueError(
-                "the C featurize engine needs a C-contiguous out buffer "
+                "the C featurize kernel needs a C-contiguous out buffer "
                 "(allocate it with out_buffer())"
             )
-        rows = kernel.repro_featurize(
+        rows = self._lib.repro_featurize(
             _ptr(self._packed_cols()),
             ctypes.c_int64(self.n),
             _ptr(i),
@@ -417,66 +349,3 @@ class PairFeaturizer:
             _ptr(keep_j) if keep_j is not None else None,
         )
         return int(rows)
-
-    def _numpy_rows(
-        self, i: np.ndarray, j: np.ndarray, out: np.ndarray
-    ) -> None:
-        """Fused single-pass fallback: shared gathers, ``out=`` writes.
-
-        Per feature this performs the exact elementwise float64
-        operations of ``compute_pair_features`` (same values, same
-        left-to-right order), writing results straight into the buffer
-        columns; base columns are gathered at most once per chunk and
-        the only temporaries are those gathers (plus one scratch column
-        when a Manhattan feature appears without its components).
-        """
-        m = len(i)
-        o = out[:m]
-        pos = {name: k for k, name in enumerate(self.features)}
-        need = set(self.features)
-        cols = self._cols
-
-        def dest(name: str) -> np.ndarray:
-            k = pos.get(name)
-            return o[:, k] if k is not None else np.empty(m)
-
-        dpx = dpy = dvx = dvy = None
-        if need & {"DiffPinX", "ManhattanPin"}:
-            dpx = dest("DiffPinX")
-            np.subtract(cols["px"][i], cols["px"][j], out=dpx)
-            np.abs(dpx, out=dpx)
-        if need & {"DiffPinY", "ManhattanPin"}:
-            dpy = dest("DiffPinY")
-            np.subtract(cols["py"][i], cols["py"][j], out=dpy)
-            np.abs(dpy, out=dpy)
-        if "ManhattanPin" in need:
-            np.add(dpx, dpy, out=dest("ManhattanPin"))
-        if need & {"DiffVpinX", "ManhattanVpin"}:
-            dvx = dest("DiffVpinX")
-            np.subtract(cols["vx"][i], cols["vx"][j], out=dvx)
-            np.abs(dvx, out=dvx)
-        if need & {"DiffVpinY", "ManhattanVpin"}:
-            dvy = dest("DiffVpinY")
-            np.subtract(cols["vy"][i], cols["vy"][j], out=dvy)
-            np.abs(dvy, out=dvy)
-        if "ManhattanVpin" in need:
-            np.add(dvx, dvy, out=dest("ManhattanVpin"))
-        if "TotalWirelength" in need:
-            d = dest("TotalWirelength")
-            np.add(cols["w"][i], cols["w"][j], out=d)
-        if need & {"TotalArea", "DiffArea"}:
-            ia_i, ia_j = cols["in_area"][i], cols["in_area"][j]
-            oa_i, oa_j = cols["out_area"][i], cols["out_area"][j]
-            if "TotalArea" in need:
-                d = dest("TotalArea")
-                np.add(ia_i, ia_j, out=d)
-                np.add(d, oa_i, out=d)
-                np.add(d, oa_j, out=d)
-            if "DiffArea" in need:
-                d = dest("DiffArea")
-                np.add(oa_i, oa_j, out=d)
-                np.subtract(d, np.add(ia_i, ia_j), out=d)
-        if "PlacementCongestion" in need:
-            np.add(cols["pc"][i], cols["pc"][j], out=dest("PlacementCongestion"))
-        if "RoutingCongestion" in need:
-            np.add(cols["rc"][i], cols["rc"][j], out=dest("RoutingCongestion"))

@@ -14,6 +14,8 @@ never matters.  Feature sets:
 
 from __future__ import annotations
 
+from typing import Mapping
+
 import numpy as np
 
 from .split import SplitView
@@ -52,7 +54,7 @@ FEATURE_SETS: dict[int, tuple[str, ...]] = {
 
 
 def compute_pair_features(
-    view: SplitView,
+    view: SplitView | Mapping[str, np.ndarray],
     i: np.ndarray,
     j: np.ndarray,
     features: tuple[str, ...] = FEATURES_11,
@@ -61,9 +63,11 @@ def compute_pair_features(
 
     Implements the definitions of Section III-B exactly; in particular
     ``DiffArea`` is the driver-minus-load area difference
-    ``(OutArea1 + OutArea2) - (InArea1 + InArea2)``.
+    ``(OutArea1 + OutArea2) - (InArea1 + InArea2)``.  ``view`` is a
+    :class:`SplitView` or a mapping of its base columns (what pool
+    workers get out of shared memory).
     """
-    arr = view.arrays()
+    arr = view.arrays() if hasattr(view, "arrays") else view
     columns: dict[str, np.ndarray] = {}
     need = set(features)
 

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.attack import topk
 from repro.attack.config import IMP_9, ML_9, ML_9Y
 from repro.attack.framework import train_attack
 from repro.attack.scale import evaluate_attack_scaled, shard_rows
 from repro.attack.topk import evaluate_attack_topk
+from repro.serve import engine as serve_engine
+from repro.splitmfg import featurize_engine
 
 
 class TestShardRows:
@@ -45,10 +48,18 @@ class TestShardRows:
             shard_rows(10, 0)
 
 
-def _assert_scaled_matches_topk(views8, config, n_shards, jobs, chunk_size):
+def _assert_scaled_matches_topk(
+    views8, config, n_shards, jobs, chunk_size, disable_kernels=None
+):
+    """The sharded result equals the streamed one; ``disable_kernels``
+    (a monkeypatch) runs the sharded pass with every scoring kernel
+    disabled, against a streamed run that used them."""
     trained = train_attack(config, views8[1:], seed=0)
     view = views8[0]
     streamed = evaluate_attack_topk(trained, view, k=8)
+    if disable_kernels is not None:
+        for module in (featurize_engine, serve_engine, topk):
+            disable_kernels.setattr(module, "_get_kernel", lambda: None)
     sharded = evaluate_attack_scaled(
         trained, view, k=8, n_shards=n_shards, jobs=jobs, chunk_size=chunk_size
     )
@@ -64,9 +75,18 @@ class TestEvaluateScaled:
             _assert_scaled_matches_topk(views8, config, 1, 1, 400_000)
 
     @pytest.mark.parametrize("config", [ML_9, ML_9Y], ids=lambda c: c.name)
-    @pytest.mark.parametrize("n_shards, jobs, chunk_size", [(3, 2, 17), (2, 1, 1000)])
-    def test_multi_shard_matches_topk(self, views8, config, n_shards, jobs, chunk_size):
-        _assert_scaled_matches_topk(views8, config, n_shards, jobs, chunk_size)
+    @pytest.mark.parametrize(
+        "n_shards, jobs, chunk_size, kernels",
+        [(3, 2, 17, True), (2, 1, 1000, True), (3, 2, 400_000, False)],
+        ids=["3-2-17", "2-1-1000", "3-2-400000-nokernel"],
+    )
+    def test_multi_shard_matches_topk(
+        self, views8, config, n_shards, jobs, chunk_size, kernels, monkeypatch
+    ):
+        _assert_scaled_matches_topk(
+            views8, config, n_shards, jobs, chunk_size,
+            disable_kernels=None if kernels else monkeypatch,
+        )
 
     def test_jobs_invariance(self, views8):
         trained = train_attack(ML_9, views8[1:], seed=0)

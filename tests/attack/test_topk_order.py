@@ -30,15 +30,14 @@ ENGINES = ["c", "numpy"]
 def engine(request, monkeypatch):
     """Run the test on the C kernel and again on the NumPy oracle.
 
-    Forcing NumPy patches the module's kernel slot, which forked pool
+    Forcing NumPy patches the module's ``_get_kernel``, which forked pool
     workers inherit.
     """
     if request.param == "c":
         if topk._get_kernel() is None:
             pytest.skip("no C compiler available")
     else:
-        monkeypatch.setattr(topk, "_kernel", None)
-        monkeypatch.setattr(topk, "_kernel_tried", True)
+        monkeypatch.setattr(topk, "_get_kernel", lambda: None)
     return request.param
 
 

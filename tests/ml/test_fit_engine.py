@@ -1,15 +1,16 @@
-"""Bit-identity and resolution tests for the presorted fit engine.
+"""Bit-identity tests for the presorted C fit kernel.
 
-The contract under test (see ``repro/ml/fit_engine.py``): every engine
--- presorted NumPy scan and compiled C kernel -- grows node-for-node
-identical trees to the reference per-node-argsort grower, on every
-input including ties, duplicated columns, constant features,
+The contract under test (see ``repro/ml/fit_engine.py``): the compiled
+kernel grows node-for-node identical trees to the reference
+per-node-argsort grower -- the path taken with the kernel disabled --
+on every input including ties, duplicated columns, constant features,
 ``min_samples_leaf`` edges and depth-cap hits.
 """
 
 import numpy as np
 import pytest
 
+from repro import native
 from repro.ml import fit_engine
 from repro.ml.bagging import Bagging
 from repro.ml.fit_engine import (
@@ -18,16 +19,27 @@ from repro.ml.fit_engine import (
     active_engine,
     grow_tree,
     has_ckernel,
-    resolve_engine,
 )
 from repro.ml.forest import RandomForest
 from repro.ml.tree import REPTree, RandomTree
+from repro.obs import get_registry
 
 needs_ckernel = pytest.mark.skipif(
     not has_ckernel(), reason="no C compiler available"
 )
 
-ENGINES = ["numpy"] + (["c"] if has_ckernel() else [])
+
+@pytest.fixture()
+def reference(monkeypatch):
+    """``reference(make)`` runs ``make()`` with the fit kernel disabled,
+    so every tree it fits comes from the reference grower."""
+
+    def build(make):
+        with monkeypatch.context() as patch:
+            patch.setattr(fit_engine, "_get_kernel", lambda: None)
+            return make()
+
+    return build
 
 
 def _frozen_tuple(model):
@@ -63,107 +75,137 @@ def _make_dataset(kind: str, n: int, rng: np.random.Generator):
 DATASET_KINDS = ["plain", "ties", "constant", "duplicated", "binaryish"]
 
 
+def _counters():
+    return get_registry().snapshot()["counters"]
+
+
+def _delta(before, after, name):
+    return after.get(name, 0) - before.get(name, 0)
+
+
+@needs_ckernel
 class TestEngineEquality:
-    """Property-style grid: presorted/C fits == reference fits."""
+    """Property-style grid: C-kernel fits == reference fits."""
 
     @pytest.mark.parametrize("kind", DATASET_KINDS)
     @pytest.mark.parametrize("n", [30, 200, 1000])
-    def test_reptree_identical_trees(self, kind, n):
+    def test_reptree_identical_trees(self, kind, n, reference):
         rng = np.random.default_rng([DATASET_KINDS.index(kind), n])
         X, y = _make_dataset(kind, n, rng)
-        reference = REPTree(seed=5, engine="reference").fit(X, y)
+        expected = reference(lambda: REPTree(seed=5).fit(X, y))
         X_test = rng.normal(size=(64, X.shape[1]))
-        for engine in ENGINES:
-            model = REPTree(seed=5, engine=engine).fit(X, y)
-            assert _frozen_tuple(model) == _frozen_tuple(reference), engine
-            assert np.array_equal(
-                model.predict_proba(X_test), reference.predict_proba(X_test)
-            )
+        model = REPTree(seed=5).fit(X, y)
+        assert _frozen_tuple(model) == _frozen_tuple(expected)
+        assert np.array_equal(
+            model.predict_proba(X_test), expected.predict_proba(X_test)
+        )
 
     @pytest.mark.parametrize("kind", DATASET_KINDS)
     @pytest.mark.parametrize("min_samples_leaf", [1, 2, 5])
-    def test_randomtree_identical_trees(self, kind, min_samples_leaf):
+    def test_randomtree_identical_trees(self, kind, min_samples_leaf, reference):
         """RandomTree: per-node RNG feature sampling must stay in sync."""
         rng = np.random.default_rng([DATASET_KINDS.index(kind), min_samples_leaf])
         X, y = _make_dataset(kind, 300, rng)
-        reference = RandomTree(
-            seed=9, min_samples_leaf=min_samples_leaf, engine="reference"
-        ).fit(X, y)
+
+        def fit():
+            return RandomTree(seed=9, min_samples_leaf=min_samples_leaf).fit(X, y)
+
+        expected = reference(fit)
         X_test = rng.normal(size=(64, X.shape[1]))
-        for engine in ENGINES:
-            model = RandomTree(
-                seed=9, min_samples_leaf=min_samples_leaf, engine=engine
-            ).fit(X, y)
-            assert _frozen_tuple(model) == _frozen_tuple(reference), engine
-            assert np.array_equal(
-                model.predict_proba(X_test), reference.predict_proba(X_test)
-            )
+        model = fit()
+        assert _frozen_tuple(model) == _frozen_tuple(expected)
+        assert np.array_equal(
+            model.predict_proba(X_test), expected.predict_proba(X_test)
+        )
 
     @pytest.mark.parametrize("max_depth", [2, 4, 25])
-    def test_depth_cap_hits(self, max_depth):
+    def test_depth_cap_hits(self, max_depth, reference):
         rng = np.random.default_rng(77)
         X, y = _make_dataset("ties", 500, rng)
-        reference = REPTree(
-            seed=1, max_depth=max_depth, engine="reference"
-        ).fit(X, y)
-        for engine in ENGINES:
-            model = REPTree(seed=1, max_depth=max_depth, engine=engine).fit(X, y)
-            assert _frozen_tuple(model) == _frozen_tuple(reference), engine
-            assert model.depth <= max_depth
+
+        def fit():
+            return REPTree(seed=1, max_depth=max_depth).fit(X, y)
+
+        expected = reference(fit)
+        model = fit()
+        assert _frozen_tuple(model) == _frozen_tuple(expected)
+        assert model.depth <= max_depth
 
     @pytest.mark.parametrize("min_samples_leaf", [1, 2, 7])
-    def test_min_samples_leaf_edges(self, min_samples_leaf):
+    def test_min_samples_leaf_edges(self, min_samples_leaf, reference):
         rng = np.random.default_rng(13)
         # n barely above 2*msl plus a pure-class column tempting an
         # msl-violating split.
         X, y = _make_dataset("ties", 2 * min_samples_leaf + 3, rng)
-        reference = REPTree(
-            seed=2, min_samples_leaf=min_samples_leaf, engine="reference"
-        ).fit(X, y)
-        for engine in ENGINES:
-            model = REPTree(
-                seed=2, min_samples_leaf=min_samples_leaf, engine=engine
-            ).fit(X, y)
-            assert _frozen_tuple(model) == _frozen_tuple(reference), engine
 
-    def test_ensembles_identical(self):
+        def fit():
+            return REPTree(seed=2, min_samples_leaf=min_samples_leaf).fit(X, y)
+
+        assert _frozen_tuple(fit()) == _frozen_tuple(reference(fit))
+
+    def test_ensembles_identical(self, reference):
         rng = np.random.default_rng(21)
         X, y = _make_dataset("ties", 400, rng)
         X_test = rng.normal(size=(120, X.shape[1]))
-        reference = Bagging(seed=4, engine="reference").fit(X, y)
-        rf_reference = RandomForest(
-            n_estimators=6, seed=4, engine="reference"
-        ).fit(X, y)
-        for engine in ENGINES:
-            bag = Bagging(seed=4, engine=engine).fit(X, y)
-            assert np.array_equal(
-                bag.predict_proba(X_test), reference.predict_proba(X_test)
-            )
-            forest = RandomForest(n_estimators=6, seed=4, engine=engine).fit(X, y)
-            assert np.array_equal(
-                forest.predict_proba(X_test),
-                rf_reference.predict_proba(X_test),
+
+        def fit():
+            return (
+                Bagging(seed=4).fit(X, y),
+                RandomForest(n_estimators=6, seed=4).fit(X, y),
             )
 
-    def test_single_class_and_tiny_inputs(self):
+        bag_reference, forest_reference = reference(fit)
+        bag, forest = fit()
+        assert np.array_equal(
+            bag.predict_proba(X_test), bag_reference.predict_proba(X_test)
+        )
+        assert np.array_equal(
+            forest.predict_proba(X_test), forest_reference.predict_proba(X_test)
+        )
+
+    def test_single_class_and_tiny_inputs(self, reference):
         X = np.array([[0.0], [1.0], [2.0]])
         for y in (np.zeros(3), np.ones(3)):
-            for engine in ENGINES:
-                model = REPTree(seed=0, engine=engine).fit(X, y)
-                assert model.n_nodes == 1  # pure node: no split
+            assert REPTree(seed=0).fit(X, y).n_nodes == 1  # pure node: no split
+            assert reference(lambda: REPTree(seed=0).fit(X, y)).n_nodes == 1
 
-    def test_non_binary_labels_fall_back_to_reference(self):
-        """Presorted engines assume 0/1 labels; others use the oracle."""
+    def test_non_binary_labels_fall_back_to_reference(self, reference):
+        """The kernel assumes 0/1 labels; others take the reference grower."""
         rng = np.random.default_rng(3)
         X = rng.normal(size=(60, 3))
         y = rng.random(60)  # fractional "labels"
-        reference = REPTree(seed=6, engine="reference").fit(X, y)
-        model = REPTree(seed=6).fit(X, y)  # auto
-        assert _frozen_tuple(model) == _frozen_tuple(reference)
+        expected = reference(lambda: REPTree(seed=6).fit(X, y))
+        before = _counters()
+        model = REPTree(seed=6).fit(X, y)
+        assert _frozen_tuple(model) == _frozen_tuple(expected)
+        assert _delta(before, _counters(), "tree_fits{engine=numpy}") == 1
+
+    @pytest.mark.parametrize("kind", DATASET_KINDS)
+    def test_uncertain_nodes_match_reference(self, kind, reference, monkeypatch):
+        """Every node declared uncertain is re-searched by the reference
+        scan over the presorted orders and still splits identically."""
+        rng = np.random.default_rng([DATASET_KINDS.index(kind), 99])
+        X, y = _make_dataset(kind, 400, rng)
+        expected = reference(lambda: REPTree(seed=8).fit(X, y))
+        real = fit_engine._get_kernel()
+
+        class AlwaysUncertain:
+            repro_fit_partition = real.repro_fit_partition
+
+            @staticmethod
+            def repro_fit_best_split(*_args):
+                return -1
+
+        monkeypatch.setattr(fit_engine, "_get_kernel", lambda: AlwaysUncertain)
+        before = _counters()
+        model = REPTree(seed=8).fit(X, y)
+        assert _frozen_tuple(model) == _frozen_tuple(expected)
+        assert _delta(before, _counters(), "fit_kernel_fallbacks") > 0
 
 
 class TestGrowTree:
-    def test_stats_counters(self):
+    @needs_ckernel
+    def test_stats_counters(self, reference):
         rng = np.random.default_rng(8)
         X, y = _make_dataset("plain", 200, rng)
         root, stats = grow_tree(
@@ -176,10 +218,20 @@ class TestGrowTree:
         )
         assert stats["nodes"] == 2 * stats["splits"] + 1
         assert not root.is_leaf
+        # Every grow counts one tree_fits under the engine that ran it,
+        # and its split nodes, whichever path grew it.
+        for engine, fit in (
+            ("c", lambda make: make()),
+            ("numpy", reference),
+        ):
+            before = _counters()
+            fit(lambda: REPTree(seed=1).fit(X, y))
+            after = _counters()
+            assert _delta(before, after, f"tree_fits{{engine={engine}}}") == 1
+            assert _delta(before, after, "fit_split_nodes") > 0
 
     def test_forced_c_without_kernel_raises(self, monkeypatch):
-        monkeypatch.setattr(fit_engine, "_kernel", None)
-        monkeypatch.setattr(fit_engine, "_kernel_tried", True)
+        monkeypatch.setattr(fit_engine, "_get_kernel", lambda: None)
         with pytest.raises(RuntimeError):
             grow_tree(
                 np.zeros((4, 2)),
@@ -188,7 +240,6 @@ class TestGrowTree:
                 max_depth=5,
                 min_samples_leaf=1,
                 min_gain=1e-7,
-                use_c=True,
             )
 
 
@@ -206,36 +257,17 @@ class TestEntropyScalar:
 
 
 class TestEngineResolution:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FIT_ENGINE", "reference")
-        assert resolve_engine(None) == "reference"
-        assert resolve_engine("numpy") == "numpy"  # explicit beats env
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_engine("fortran")
-
     def test_auto_without_kernel_is_numpy(self, monkeypatch):
-        monkeypatch.setattr(fit_engine, "_kernel", None)
-        monkeypatch.setattr(fit_engine, "_kernel_tried", True)
-        assert resolve_engine("auto") == "numpy"
+        monkeypatch.setattr(fit_engine, "_get_kernel", lambda: None)
+        assert not has_ckernel()
         assert active_engine() == "numpy"
-        with pytest.raises(RuntimeError):
-            resolve_engine("c")
 
     @needs_ckernel
     def test_auto_with_kernel_is_c(self):
-        assert resolve_engine(None) in ("c", "numpy", "reference")
-        assert resolve_engine("auto") == "c"
+        assert active_engine() == "c"
 
     def test_active_engine_never_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FIT_ENGINE", "c")
-        monkeypatch.setattr(fit_engine, "_kernel", None)
-        monkeypatch.setattr(fit_engine, "_kernel_tried", True)
+        """A failed build (no compiler) reads as ``numpy``, not an error."""
+        monkeypatch.setattr(native, "_loaded", {})
+        monkeypatch.setenv("CC", "/nonexistent/cc")
         assert active_engine() == "numpy"
-
-    def test_no_ckernel_env_disables_compilation(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FIT_NO_CKERNEL", "1")
-        monkeypatch.setattr(fit_engine, "_kernel", None)
-        monkeypatch.setattr(fit_engine, "_kernel_tried", False)
-        assert fit_engine._get_kernel() is None

@@ -1,4 +1,4 @@
-"""Tests for the stacked-tree inference engine (repro.serve.engine)."""
+"""Tests for the stacked-tree inference kernel (repro.serve.engine)."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,12 @@ import pytest
 from repro.ml.bagging import Bagging
 from repro.ml.forest import RandomForest
 from repro.ml.tree import RandomTree, REPTree
+from repro.serve import engine as serve_engine
 from repro.serve.engine import StackedEnsemble, has_ckernel
+
+needs_ckernel = pytest.mark.skipif(
+    not has_ckernel(), reason="no C compiler available"
+)
 
 
 def _data(n=400, n_features=6, seed=0):
@@ -27,9 +32,9 @@ def _models():
     ]
 
 
+@needs_ckernel
 class TestEquivalence:
-    @pytest.mark.parametrize("kernel", ["numpy", "auto"])
-    def test_bit_identical_to_looped(self, kernel):
+    def test_bit_identical_to_looped(self):
         Xt, _ = _data(n=3000, seed=9)
         for model in _models():
             engine = StackedEnsemble.from_model(model)
@@ -37,18 +42,21 @@ class TestEquivalence:
                 reference = model.predict_proba_looped(Xt)
             else:
                 reference = model.predict_proba(Xt)
-            scored = engine.predict_proba(Xt, kernel=kernel)
+            scored = engine.predict_proba(Xt)
             assert np.array_equal(reference, scored), type(model).__name__
 
-    def test_kernels_agree(self):
+    def test_kernels_agree(self, monkeypatch):
+        """``Bagging.predict_proba`` gives the same bytes with the kernel
+        and, with it disabled, through the reference loop."""
         X, y = _data()
         Xt, _ = _data(n=2000, seed=7)
-        engine = StackedEnsemble.from_model(Bagging(n_estimators=4, seed=6).fit(X, y))
-        via_numpy = engine.predict_proba(Xt, kernel="numpy")
-        via_auto = engine.predict_proba(Xt, kernel="auto")
-        assert np.array_equal(via_numpy, via_auto)
-        if has_ckernel():
-            assert np.array_equal(via_numpy, engine.predict_proba(Xt, kernel="c"))
+        for model in _models()[:3]:
+            via_c = model.predict_proba(Xt)
+            assert model._engine is not None
+            with monkeypatch.context() as patch:
+                patch.setattr(serve_engine, "_get_kernel", lambda: None)
+                via_loop = model.predict_proba(Xt)
+            assert np.array_equal(via_c, via_loop), type(model).__name__
 
     def test_chunking_invariant(self):
         X, y = _data()
@@ -69,18 +77,21 @@ class TestEquivalence:
 
 
 class TestValidation:
+    @needs_ckernel
     def test_feature_count_mismatch(self):
         X, y = _data(n_features=5)
         engine = StackedEnsemble.from_model(Bagging(n_estimators=2, seed=1).fit(X, y))
         with pytest.raises(ValueError, match="expected 5 features"):
             engine.predict_proba(np.zeros((3, 4)))
 
+    @needs_ckernel
     def test_rejects_1d_input(self):
         X, y = _data()
         engine = StackedEnsemble.from_model(REPTree(seed=0).fit(X, y))
         with pytest.raises(ValueError, match="2-D"):
             engine.predict_proba(np.zeros(6))
 
+    @needs_ckernel
     def test_empty_input(self):
         X, y = _data()
         engine = StackedEnsemble.from_model(Bagging(n_estimators=2, seed=1).fit(X, y))
@@ -92,13 +103,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             StackedEnsemble.from_trees([])
 
-    def test_bad_kernel_and_chunk(self):
+    def test_bad_kernel_and_chunk(self, monkeypatch):
         X, y = _data()
         engine = StackedEnsemble.from_model(REPTree(seed=0).fit(X, y))
         with pytest.raises(ValueError):
-            engine.predict_proba(X, kernel="gpu")
-        with pytest.raises(ValueError):
             engine.predict_proba(X, chunk_size=0)
+        monkeypatch.setattr(serve_engine, "_get_kernel", lambda: None)
+        with pytest.raises(RuntimeError, match="kernel unavailable"):
+            engine.predict_proba(X)
 
     def test_voting_validation(self):
         X, y = _data()
@@ -120,6 +132,7 @@ class TestStructure:
         assert (engine.left[internal] < engine.n_nodes).all()
         assert (engine.right[internal] < engine.n_nodes).all()
 
+    @needs_ckernel
     def test_predict_threshold(self):
         X, y = _data()
         engine = StackedEnsemble.from_model(Bagging(n_estimators=3, seed=2).fit(X, y))

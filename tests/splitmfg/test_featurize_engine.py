@@ -1,4 +1,9 @@
-"""Bit-identity and boundary tests for the chunked featurize engines."""
+"""Bit-identity and boundary tests for the chunked pair featurizer.
+
+Every grid runs twice: ``c`` through the compiled kernel and ``numpy``
+with the kernel disabled, where the featurizer writes
+``compute_pair_features`` into the buffer.
+"""
 
 import os
 
@@ -14,7 +19,6 @@ from repro.splitmfg.featurize_engine import (
     PairFeaturizer,
     active_engine,
     has_ckernel,
-    resolve_engine,
 )
 from repro.splitmfg.pair_features import (
     FEATURE_SETS,
@@ -69,7 +73,7 @@ def _random_view(n=40, seed=0, driver_fraction=0.5):
     )
 
 
-ENGINES = ["numpy", "reference"] + (["c"] if has_ckernel() else [])
+ENGINES = ["numpy", "c"]
 
 
 @pytest.fixture()
@@ -77,25 +81,33 @@ def view():
     return _random_view()
 
 
+@pytest.fixture()
+def use_engine(monkeypatch):
+    """``use_engine(name)`` makes featurizers built next run ``name``:
+    ``numpy`` disables the kernel, ``c`` skips without a compiler."""
+
+    def select(engine):
+        if engine == "numpy":
+            monkeypatch.setattr(featurize_engine, "_get_kernel", lambda: None)
+        elif not has_ckernel():
+            pytest.skip("no C compiler available")
+        return engine
+
+    return select
+
+
+@pytest.fixture()
+def engine(request, use_engine):
+    """Indirect ``engine`` parameter: selects the path under test."""
+    return use_engine(request.param)
+
+
 class TestEngineResolution:
-    def test_resolve_names(self):
-        assert resolve_engine("numpy") == "numpy"
-        assert resolve_engine("reference") == "reference"
-        with pytest.raises(ValueError):
-            resolve_engine("cuda")
-
-    def test_auto_prefers_kernel(self):
+    def test_auto_prefers_kernel(self, monkeypatch):
         expected = "c" if has_ckernel() else "numpy"
-        assert resolve_engine(None) in ("c", "numpy")
-        assert resolve_engine("auto") == expected
         assert active_engine() == expected
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FEATURIZE_ENGINE", "numpy")
-        assert resolve_engine(None) == "numpy"
-        monkeypatch.setenv("REPRO_FEATURIZE_ENGINE", "nope")
-        with pytest.raises(ValueError):
-            resolve_engine(None)
+        monkeypatch.setattr(featurize_engine, "_get_kernel", lambda: None)
+        assert active_engine() == "numpy"
 
     def test_no_ckernel_env_blocks_compilation(self):
         # A subprocess so the kernel singleton is not already baked.
@@ -103,10 +115,12 @@ class TestEngineResolution:
         import sys
 
         code = (
-            "from repro.splitmfg.featurize_engine import has_ckernel;"
-            "assert not has_ckernel()"
+            "from repro.splitmfg.featurize_engine import active_engine,"
+            " has_ckernel;"
+            "assert not has_ckernel();"
+            "assert active_engine() == 'numpy'"
         )
-        env = dict(os.environ, REPRO_FEATURIZE_NO_CKERNEL="1")
+        env = dict(os.environ, CC="/nonexistent/cc")
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, ["src", env.get("PYTHONPATH")])
         )
@@ -124,15 +138,15 @@ class TestEngineResolution:
 
     def test_invalid_features_rejected(self, view):
         with pytest.raises(ValueError):
-            PairFeaturizer(view, ("DiffPinX", "Bogus"), engine="numpy")
+            PairFeaturizer(view, ("DiffPinX", "Bogus"))
         with pytest.raises(ValueError):
-            PairFeaturizer(view, ("DiffPinX", "DiffPinX"), engine="numpy")
+            PairFeaturizer(view, ("DiffPinX", "DiffPinX"))
         with pytest.raises(ValueError):
-            PairFeaturizer(view, (), engine="numpy")
+            PairFeaturizer(view, ())
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ENGINES, indirect=True)
     @pytest.mark.parametrize("n_features", sorted(FEATURE_SETS))
     @pytest.mark.parametrize("seed", [0, 1])
     def test_rows_match_reference_exactly(self, engine, n_features, seed):
@@ -142,14 +156,15 @@ class TestBitIdentity:
         i = rng.integers(0, len(view), 500)
         j = rng.integers(0, len(view), 500)
         expected = compute_pair_features(view, i, j, features)
-        featurizer = PairFeaturizer(view, features, engine=engine)
+        featurizer = PairFeaturizer(view, features)
+        assert featurizer.engine == engine
         out = featurizer.out_buffer(len(i))
         got = featurizer.rows_into(i, j, out)
         assert got.dtype == np.float64
         assert got.shape == expected.shape
         assert np.array_equal(got, expected)
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ENGINES, indirect=True)
     def test_partial_feature_tuples(self, engine, view):
         # Unusual but legal tuples: a Manhattan feature without its
         # components, and a reordered subset.
@@ -161,30 +176,28 @@ class TestBitIdentity:
             i = np.arange(len(view) - 1)
             j = i + 1
             expected = compute_pair_features(view, i, j, features)
-            featurizer = PairFeaturizer(view, features, engine=engine)
+            featurizer = PairFeaturizer(view, features)
             got = featurizer.rows_into(i, j, featurizer.out_buffer(len(i)))
             assert np.array_equal(got, expected)
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ENGINES, indirect=True)
     def test_rows_allocating_convenience(self, engine, view):
         i = np.array([0, 1, 2])
         j = np.array([3, 4, 5])
-        featurizer = PairFeaturizer(view, FEATURES_9, engine=engine)
+        featurizer = PairFeaturizer(view, FEATURES_9)
         assert np.array_equal(
             featurizer.rows(i, j),
             compute_pair_features(view, i, j, FEATURES_9),
         )
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ENGINES, indirect=True)
     def test_accepts_plain_column_mapping(self, engine, view):
         # Pool workers featurize from shared-memory columns without a
         # SplitView; the mapping route must be byte-identical.
         cols = {name: view.arrays()[name] for name in BASE_COLUMNS}
         i = np.array([0, 5, 9])
         j = np.array([2, 7, 11])
-        if engine == "reference":
-            pytest.skip("reference engine delegates to the view path")
-        featurizer = PairFeaturizer(cols, FEATURES_11, engine=engine)
+        featurizer = PairFeaturizer(cols, FEATURES_11)
         assert np.array_equal(
             featurizer.rows(i, j),
             compute_pair_features(view, i, j, FEATURES_11),
@@ -192,13 +205,13 @@ class TestBitIdentity:
 
 
 class TestLegalFusion:
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ENGINES, indirect=True)
     def test_matches_mask_then_featurize(self, engine, view):
         rng = np.random.default_rng(7)
         i = rng.integers(0, len(view), 300)
         j = rng.integers(0, len(view), 300)
         legal = legal_pair_mask(view, i, j)
-        featurizer = PairFeaturizer(view, FEATURES_11, engine=engine)
+        featurizer = PairFeaturizer(view, FEATURES_11)
         out = featurizer.out_buffer(len(i))
         ki, kj, rows = featurizer.legal_rows_into(i, j, out)
         assert np.array_equal(ki, i[legal])
@@ -207,10 +220,10 @@ class TestLegalFusion:
             rows, compute_pair_features(view, i[legal], j[legal], FEATURES_11)
         )
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ENGINES, indirect=True)
     def test_all_illegal_chunk(self, engine):
         view = _random_view(driver_fraction=1.0)  # every v-pin drives
-        featurizer = PairFeaturizer(view, FEATURES_9, engine=engine)
+        featurizer = PairFeaturizer(view, FEATURES_9)
         i = np.arange(len(view) - 1)
         j = i + 1
         out = featurizer.out_buffer(len(i))
@@ -218,18 +231,18 @@ class TestLegalFusion:
         assert len(ki) == len(kj) == 0
         assert rows.shape == (0, 9)
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ENGINES, indirect=True)
     def test_empty_chunk(self, engine, view):
-        featurizer = PairFeaturizer(view, FEATURES_9, engine=engine)
+        featurizer = PairFeaturizer(view, FEATURES_9)
         empty = np.zeros(0, dtype=np.int64)
         out = featurizer.out_buffer(8)
         assert featurizer.rows_into(empty, empty, out).shape == (0, 9)
         ki, kj, rows = featurizer.legal_rows_into(empty, empty, out)
         assert len(ki) == 0 and rows.shape == (0, 9)
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ENGINES, indirect=True)
     def test_kept_indices_outlive_buffer_reuse(self, engine, view):
-        featurizer = PairFeaturizer(view, FEATURES_9, engine=engine)
+        featurizer = PairFeaturizer(view, FEATURES_9)
         out = featurizer.out_buffer(64)
         i = np.arange(30)
         j = i + 5
@@ -243,12 +256,12 @@ class TestLegalFusion:
 class TestChunkReassembly:
     """Per-chunk featurization must reassemble to the one-shot matrix."""
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ENGINES, indirect=True)
     @pytest.mark.parametrize("chunk_size", [1, 7, 64, 100, 780, 5000])
     def test_exact_boundaries(self, engine, chunk_size):
         view = _random_view(n=40, seed=3)
         n = len(view)
-        featurizer = PairFeaturizer(view, FEATURES_9, engine=engine)
+        featurizer = PairFeaturizer(view, FEATURES_9)
         out = featurizer.out_buffer(max_chunk_rows(n, chunk_size))
         parts_i, parts_j, parts_X = [], [], []
         for i, j in iter_all_pairs(n, chunk_size):
@@ -272,11 +285,11 @@ class TestChunkReassembly:
             ),
         )
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ENGINES, indirect=True)
     def test_last_partial_chunk(self, engine):
         # 10 v-pins -> 45 pairs; chunk_size 40 leaves a 5-pair tail.
         view = _random_view(n=10, seed=4, driver_fraction=0.0)
-        featurizer = PairFeaturizer(view, FEATURES_11, engine=engine)
+        featurizer = PairFeaturizer(view, FEATURES_11)
         chunks = list(iter_all_pairs(len(view), 40))
         assert len(chunks) == 2 and len(chunks[1][0]) < 40
         out = featurizer.out_buffer(max_chunk_rows(len(view), 40))
@@ -290,23 +303,23 @@ class TestChunkReassembly:
 
 class TestBufferContract:
     def test_out_buffer_shapes(self, view):
-        for engine in ENGINES:
-            featurizer = PairFeaturizer(view, FEATURES_9, engine=engine)
-            buf = featurizer.out_buffer(17)
-            assert buf.shape == (17, 9)
-            assert buf.dtype == np.float64
+        featurizer = PairFeaturizer(view, FEATURES_9)
+        buf = featurizer.out_buffer(17)
+        assert buf.shape == (17, 9)
+        assert buf.dtype == np.float64
+        assert buf.flags.c_contiguous
         with pytest.raises(ValueError):
-            PairFeaturizer(view, FEATURES_9, engine="numpy").out_buffer(-1)
+            featurizer.out_buffer(-1)
 
     def test_too_small_buffer_rejected(self, view):
-        featurizer = PairFeaturizer(view, FEATURES_9, engine="numpy")
+        featurizer = PairFeaturizer(view, FEATURES_9)
         out = featurizer.out_buffer(2)
         i = np.array([0, 1, 2])
         with pytest.raises(ValueError):
             featurizer.rows_into(i, i + 1, out)
 
     def test_wrong_width_rejected(self, view):
-        featurizer = PairFeaturizer(view, FEATURES_9, engine="numpy")
+        featurizer = PairFeaturizer(view, FEATURES_9)
         with pytest.raises(ValueError):
             featurizer.rows_into(
                 np.array([0]), np.array([1]), np.empty((4, 7))
@@ -314,23 +327,24 @@ class TestBufferContract:
 
     @pytest.mark.skipif(not has_ckernel(), reason="no C compiler")
     def test_c_engine_requires_c_contiguous(self, view):
-        featurizer = PairFeaturizer(view, FEATURES_9, engine="c")
+        featurizer = PairFeaturizer(view, FEATURES_9)
         fortran = np.empty((9, 8)).T
         with pytest.raises(ValueError):
             featurizer.rows_into(np.array([0]), np.array([1]), fortran)
 
     def test_mismatched_ij_rejected(self, view):
-        featurizer = PairFeaturizer(view, FEATURES_9, engine="numpy")
+        featurizer = PairFeaturizer(view, FEATURES_9)
         out = featurizer.out_buffer(4)
         with pytest.raises(ValueError):
             featurizer.rows_into(np.array([0, 1]), np.array([2]), out)
 
 
 class TestMetrics:
-    def test_chunk_counter_and_rows_histogram(self, view):
+    def test_chunk_counter_and_rows_histogram(self, view, use_engine):
+        use_engine("numpy")
         registry = get_registry()
         before = registry.snapshot()["counters"]
-        featurizer = PairFeaturizer(view, FEATURES_9, engine="numpy")
+        featurizer = PairFeaturizer(view, FEATURES_9)
         out = featurizer.out_buffer(16)
         i = np.arange(10)
         featurizer.rows_into(i, i + 1, out)
@@ -338,5 +352,7 @@ class TestMetrics:
         after = registry.snapshot()["counters"]
         name = "featurize_chunks{engine=numpy}"
         assert after.get(name, 0) - before.get(name, 0) == 2
+        fallbacks = "featurize_kernel_fallbacks"
+        assert after.get(fallbacks, 0) - before.get(fallbacks, 0) == 1
         hist = registry.snapshot()["histograms"].get("featurize_rows")
         assert hist is not None and hist["count"] >= 2

@@ -74,7 +74,7 @@ class TestParser:
         assert args.layer == 8
         assert args.features == 9
         assert args.budget_mb is None
-        assert args.engine is None
+        assert not hasattr(args, "engine")  # the stage engines are not knobs
 
 
 class TestCommands:

@@ -421,6 +421,9 @@ def _run_loo_fold(
     config, views, fold, fold_seed, chunk_size, cache = task
     test_view = views[fold]
     training_views = views[:fold] + views[fold + 1 :]
+    assert test_view.design_name not in {v.design_name for v in training_views}, (
+        f"held-out design {test_view.design_name!r} is also a training design"
+    )
     with span(
         "fold", fold=fold, design=test_view.design_name, config=config.name
     ):
@@ -448,6 +451,12 @@ def run_loo(
     """
     if len(views) < 2:
         raise ValueError("leave-one-out needs at least two views")
+    names = [view.design_name for view in views]
+    if len(set(names)) != len(names):
+        duplicated = sorted({name for name in names if names.count(name) > 1})
+        raise ValueError(
+            f"leave-one-out needs distinct designs; repeated: {duplicated}"
+        )
     if cache is None:
         cache = get_default_cache()
     seeds = spawn_seeds(seed, len(views))

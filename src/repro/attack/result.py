@@ -37,6 +37,7 @@ class AttackResult:
     n_pairs_evaluated: int = 0
     _cover_p: np.ndarray | None = field(default=None, repr=False)
     _is_match: np.ndarray | None = field(default=None, repr=False)
+    _n_matched: int | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if not (len(self.pair_i) == len(self.pair_j) == len(self.prob)):
@@ -69,7 +70,9 @@ class AttackResult:
         """V-pins that actually have a hidden connection (accuracy
         denominator; differs from ``n_vpins`` only under dummy-v-pin
         defenses)."""
-        return sum(1 for v in self.view.vpins if v.matches)
+        if self._n_matched is None:
+            self._n_matched = sum(1 for v in self.view.vpins if v.matches)
+        return self._n_matched
 
     @property
     def runtime(self) -> float:

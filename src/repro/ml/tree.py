@@ -114,37 +114,75 @@ class DecisionTreeBase:
 
     # -- fitting --------------------------------------------------------
 
-    def _grow(self, X: np.ndarray, y: np.ndarray, depth: int) -> _Node:
-        """Grow a (sub)tree: the C kernel, else the reference grower.
+    def _folds(self, n: int) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(grow_rows, prune_rows)`` for reduced-error pruning, or
+        ``None`` to grow on every row without pruning (the default)."""
+        return None
 
-        Both produce node-for-node identical trees; see
+    def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTreeBase":
+        """Fit through the C kernel, else the reference pipeline.
+
+        Both produce identical frozen trees; see
         :mod:`repro.ml.fit_engine` for the bit-identity contract.  The
         kernel assumes 0/1 labels (exact integer counts), so other labels
-        take the reference grower too.
+        take the reference pipeline too.
         """
+        X = np.asarray(X, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if X.ndim != 2:
+            raise ValueError("X must be 2-D")
+        if len(X) != len(y):
+            raise ValueError("X and y disagree on sample count")
+        if len(y) == 0:
+            raise ValueError("cannot fit on an empty training set")
+        self.n_features_ = X.shape[1]
+        self._prior = float(y.mean())
+        folds = self._folds(len(y))
         if has_ckernel() and np.isin(y, (0.0, 1.0)).all():
             engine = "c"
-            root, stats = grow_tree(
+            # Without an override every node examines every feature in
+            # order, which the kernel does without calling back.
+            default = (
+                getattr(self._candidate_features, "__func__", None)
+                is DecisionTreeBase._candidate_features
+            )
+            arrays, stats = grow_tree(
                 X,
                 y,
-                candidate_features=self._candidate_features,
+                candidate_features=None if default else self._candidate_features,
                 max_depth=self.max_depth,
                 min_samples_leaf=self.min_samples_leaf,
                 min_gain=self.min_gain,
-                depth=depth,
+                folds=folds,
             )
+            tree = _FrozenTree(*arrays)
         else:
             engine = "numpy"
-            root, stats = self._grow_reference(X, y, depth)
-        self._record_grow_stats(engine, stats)
-        return root
-
-    @staticmethod
-    def _record_grow_stats(engine: str, stats: dict[str, int]) -> None:
+            tree, stats = self._fit_reference(X, y, folds)
         counter("tree_fits", engine=engine).inc()
         counter("fit_split_nodes").inc(stats["splits"])
         if stats["fallbacks"]:
             counter("fit_kernel_fallbacks").inc(stats["fallbacks"])
+        self._tree = tree
+        return self
+
+    def _fit_reference(
+        self,
+        X: np.ndarray,
+        y: np.ndarray,
+        folds: tuple[np.ndarray, np.ndarray] | None,
+    ) -> tuple[_FrozenTree, dict[str, int]]:
+        """Reference fit: grow, prune against the held-out fold, count
+        every row into the nodes it reaches, freeze (the kernel's oracle)."""
+        if folds is None:
+            root, stats = self._grow_reference(X, y, depth=0)
+        else:
+            grow_rows, prune_rows = folds
+            root, stats = self._grow_reference(X[grow_rows], y[grow_rows], depth=0)
+            self._route(root, X[prune_rows], y[prune_rows], "prune")
+            self._prune(root)
+        self._route(root, X, y, "total")
+        return self._freeze(root), stats
 
     def _grow_reference(
         self, X: np.ndarray, y: np.ndarray, depth: int
@@ -152,7 +190,7 @@ class DecisionTreeBase:
         """Reference grower: per-node argsorts (the bit-identity oracle).
 
         Returns the root plus the ``{"splits", "fallbacks"}`` counters
-        :meth:`_record_grow_stats` reads (no kernel, so no fallbacks).
+        :meth:`fit` records (no kernel, so no fallbacks).
         """
 
         def new_node(ys: np.ndarray) -> _Node:
@@ -251,29 +289,34 @@ class DecisionTreeBase:
             neg=np.array(neg),
         )
 
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTreeBase":
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if X.ndim != 2:
-            raise ValueError("X must be 2-D")
-        if len(X) != len(y):
-            raise ValueError("X and y disagree on sample count")
-        if len(y) == 0:
-            raise ValueError("cannot fit on an empty training set")
-        self.n_features_ = X.shape[1]
-        self._prior = float(y.mean()) if len(y) else 0.5
-        root = self._fit_root(X, y)
-        self._tree = self._freeze(root)
-        return self
+    def _prune(self, root: _Node) -> None:
+        """Bottom-up reduced-error pruning (iterative post-order)."""
+        subtree_error: dict[int, float] = {}
 
-    def _fit_root(self, X: np.ndarray, y: np.ndarray) -> _Node:
-        root = self._grow(X, y, depth=0)
-        self._finalize_counts(root, X, y)
-        return root
+        def leaf_error(node: _Node) -> float:
+            return node.prune_neg if node.majority_positive else node.prune_pos
 
-    def _finalize_counts(self, root: _Node, X: np.ndarray, y: np.ndarray) -> None:
-        """Fill ``total_*`` leaf counts used for Eq. (1) probabilities."""
-        self._route(root, X, y, "total")
+        stack: list[tuple[_Node, bool]] = [(root, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if node.is_leaf:
+                subtree_error[id(node)] = leaf_error(node)
+                continue
+            if not expanded:
+                stack.append((node, True))
+                stack.append((node.left, False))
+                stack.append((node.right, False))
+                continue
+            children_error = (
+                subtree_error.pop(id(node.left))
+                + subtree_error.pop(id(node.right))
+            )
+            collapsed = leaf_error(node)
+            if collapsed <= children_error:
+                node.make_leaf()
+                subtree_error[id(node)] = collapsed
+            else:
+                subtree_error[id(node)] = children_error
 
     # -- inference ------------------------------------------------------
 
@@ -368,47 +411,8 @@ class REPTree(DecisionTreeBase):
             raise ValueError("num_folds must be >= 2")
         self.num_folds = num_folds
 
-    def _fit_root(self, X: np.ndarray, y: np.ndarray) -> _Node:
-        n = len(y)
+    def _folds(self, n: int) -> tuple[np.ndarray, np.ndarray] | None:
         if n < self.num_folds:
-            # Too little data to prune; grow only.
-            root = self._grow(X, y, depth=0)
-            self._finalize_counts(root, X, y)
-            return root
+            return None  # too little data to prune; grow only
         perm = self.rng.permutation(n)
-        fold = perm[: n // self.num_folds]
-        grow_rows = perm[n // self.num_folds :]
-        root = self._grow(X[grow_rows], y[grow_rows], depth=0)
-        self._route(root, X[fold], y[fold], "prune")
-        self._prune(root)
-        self._finalize_counts(root, X, y)
-        return root
-
-    def _prune(self, root: _Node) -> None:
-        """Bottom-up reduced-error pruning (iterative post-order)."""
-        subtree_error: dict[int, float] = {}
-
-        def leaf_error(node: _Node) -> float:
-            return node.prune_neg if node.majority_positive else node.prune_pos
-
-        stack: list[tuple[_Node, bool]] = [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if node.is_leaf:
-                subtree_error[id(node)] = leaf_error(node)
-                continue
-            if not expanded:
-                stack.append((node, True))
-                stack.append((node.left, False))
-                stack.append((node.right, False))
-                continue
-            children_error = (
-                subtree_error.pop(id(node.left))
-                + subtree_error.pop(id(node.right))
-            )
-            collapsed = leaf_error(node)
-            if collapsed <= children_error:
-                node.make_leaf()
-                subtree_error[id(node)] = collapsed
-            else:
-                subtree_error[id(node)] = children_error
+        return perm[n // self.num_folds :], perm[: n // self.num_folds]

@@ -74,6 +74,32 @@ def _attach(name: str) -> shared_memory.SharedMemory:
     raise AssertionError("unreachable")  # pragma: no cover
 
 
+class _Mapping:
+    """Keeps a segment mapped for as long as any array view of it lives.
+
+    NumPy holds no buffer export on a ``SharedMemory.buf`` it wraps, so
+    closing the segment under a live view would leave the view pointing
+    at unmapped memory.  An array made from this object's
+    ``__array_interface__`` keeps the object itself as its base instead,
+    and the segment is closed only when the last view releases it.
+    """
+
+    def __init__(
+        self, shm: shared_memory.SharedMemory, shape: tuple[int, ...], dtype: np.dtype
+    ) -> None:
+        self.shm = shm
+        address = np.frombuffer(shm.buf, dtype=np.uint8).ctypes.data
+        self.__array_interface__ = {
+            "shape": shape,
+            "typestr": dtype.str,
+            "data": (address, False),
+            "version": 3,
+        }
+
+    def __del__(self) -> None:
+        self.shm.close()
+
+
 class SharedArray:
     """A NumPy array backed by a named ``SharedMemory`` segment."""
 
@@ -122,9 +148,7 @@ class SharedArray:
         if self._shm is None:
             raise ValueError(f"SharedArray {self.name!r} is closed")
         if self._array is None:
-            self._array = np.ndarray(
-                self.shape, dtype=self.dtype, buffer=self._shm.buf
-            )
+            self._array = np.asarray(_Mapping(self._shm, self.shape, self.dtype))
         return self._array
 
     def __reduce__(self):
@@ -133,14 +157,17 @@ class SharedArray:
         return (type(self), (self.name, self.shape, self.dtype.str))
 
     def close(self) -> None:
-        """Drop this process's mapping (idempotent)."""
+        """Drop this process's mapping (idempotent).
+
+        A view taken from :attr:`array` may outlive this call: the
+        mapping is then unmapped when the last such view dies.
+        """
         if self._shm is None:
             return
-        self._array = None  # views into shm.buf must die before close()
-        try:
-            self._shm.close()
-        finally:
-            self._shm = None
+        shm, self._shm = self._shm, None
+        if self._array is None:
+            shm.close()
+        self._array = None  # its _Mapping closes shm once no view is left
 
     def unlink(self) -> None:
         """Destroy the segment itself.  Owner's job, exactly once."""

@@ -7,6 +7,7 @@ the top-layer coordinate limit of Section III-G ("Y" configurations).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -23,6 +24,9 @@ COORD_TOL = 1e-6
 
 #: The paper's default neighborhood percentile (Section III-D).
 DEFAULT_NEIGHBORHOOD_PERCENTILE = 90.0
+
+#: V-pins per batched neighbor query in :class:`NeighborhoodIndex`.
+NEIGHBOR_BATCH = 128
 
 
 @dataclass
@@ -131,13 +135,52 @@ class NeighborhoodIndex:
         arr = view.arrays()
         self._points = np.column_stack([arr["vx"], arr["vy"]])
         self._tree = cKDTree(self._points) if len(view) else None
+        # Every v-pin's neighbor list as CSR arrays, built on first use.
+        self._indptr: np.ndarray | None = None
+        self._indices: np.ndarray | None = None
 
     def neighbors_of(self, i: int) -> np.ndarray:
-        """Indices (excluding ``i``) within L1 ``radius`` of v-pin ``i``."""
+        """Indices (excluding ``i``) within L1 ``radius`` of v-pin ``i``.
+
+        The first call builds every v-pin's list with one batched query;
+        the result is a read-only view into those lists.
+        """
         if self._tree is None:
             return np.zeros(0, dtype=int)
-        found = self._tree.query_ball_point(self._points[i], r=self.radius, p=1)
-        return np.array([k for k in found if k != i], dtype=int)
+        if self._indptr is None:
+            self._build_neighbor_lists()
+        return self._indices[self._indptr[i] : self._indptr[i + 1]]
+
+    def _build_neighbor_lists(self) -> None:
+        n = len(self._points)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        chunks = []
+        # Unsorted batched results list each point's neighbors in the
+        # same order as a single-point query would.  Batches bound the
+        # Python lists alive at once.
+        for start in range(0, n, NEIGHBOR_BATCH):
+            found = self._tree.query_ball_point(
+                self._points[start : start + NEIGHBOR_BATCH],
+                r=self.radius,
+                p=1,
+                return_sorted=False,
+            )
+            lengths = np.fromiter(map(len, found), dtype=np.int64, count=len(found))
+            flat = np.fromiter(
+                itertools.chain.from_iterable(found),
+                dtype=int,
+                count=int(lengths.sum()),
+            )
+            owner = np.repeat(np.arange(len(found)), lengths)
+            not_self = flat != owner + start
+            chunks.append(flat[not_self])
+            indptr[start + 1 : start + 1 + len(found)] = np.bincount(
+                owner[not_self], minlength=len(found)
+            )
+        np.cumsum(indptr, out=indptr)
+        self._indices = np.concatenate(chunks)
+        self._indices.flags.writeable = False
+        self._indptr = indptr
 
     def candidate_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """All legal pairs within the L1 radius, as index arrays i < j."""

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.attack.config import IMP_9, IMP_9Y, ML_9, AttackConfig
+from repro.attack import framework
 from repro.attack.framework import (
+    _run_loo_fold,
     evaluate_attack,
     loo_folds,
     make_classifier,
@@ -12,6 +14,7 @@ from repro.attack.framework import (
     train_attack,
 )
 from repro.splitmfg.pair_features import legal_pair_mask
+from repro.splitmfg.sampling import neighborhood_fraction
 
 
 class TestMakeClassifier:
@@ -120,6 +123,39 @@ class TestLoo:
     def test_run_loo_needs_two_views(self, views8):
         with pytest.raises(ValueError):
             run_loo(IMP_9, views8[:1], seed=0)
+
+
+    def test_run_loo_rejects_repeated_designs(self, views8):
+        with pytest.raises(ValueError, match="distinct designs"):
+            run_loo(IMP_9, [*views8[:2], views8[0]], seed=0)
+
+    def test_fold_asserts_held_out_design_is_not_trained_on(self, views8):
+        views = [views8[0], views8[1], views8[0]]
+        with pytest.raises(AssertionError, match="also a training design"):
+            _run_loo_fold((IMP_9, views, 0, 0, 400_000, None))
+
+    def test_fold_neighborhood_from_training_designs_only(
+        self, views8, monkeypatch
+    ):
+        """Each fold's Imp radius fraction is the percentile over that
+        fold's training designs, never over the held-out one."""
+        seen = []
+        real = framework.evaluate_attack
+
+        def spy(trained, view, *args, **kwargs):
+            seen.append((view.design_name, trained.neighborhood))
+            return real(trained, view, *args, **kwargs)
+
+        monkeypatch.setattr(framework, "evaluate_attack", spy)
+        views = views8[:3]
+        run_loo(IMP_9, views, seed=0)
+        assert [name for name, _ in seen] == [v.design_name for v in views]
+        for (name, fraction), (test_view, training) in zip(seen, loo_folds(views)):
+            assert test_view.design_name == name
+            assert name not in {v.design_name for v in training}
+            assert fraction == neighborhood_fraction(
+                training, IMP_9.neighborhood_percentile
+            )
 
 
 class TestObservability:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.attack.defenses import with_dummy_vpins
 from repro.attack.result import AttackResult, summarize
 from repro.layout.geometry import Point
 from repro.splitmfg.split import SplitView, VPin
@@ -108,6 +109,30 @@ class TestExactMath:
     def test_curve_monotone(self, result):
         fractions, accuracies = result.curve(np.logspace(-3, 0, 10))
         assert (np.diff(accuracies) >= -1e-12).all()
+
+
+class TestMatchedVpinsCache:
+    @staticmethod
+    def _recount(view):
+        return sum(1 for v in view.vpins if v.matches)
+
+    def test_cached_value_equals_recount(self, result):
+        assert result.n_matched_vpins == self._recount(result.view) == 4
+        assert result._n_matched == 4
+        assert result.n_matched_vpins == 4
+
+    def test_dummy_vpins_are_not_counted(self):
+        view = with_dummy_vpins(_view(6), 0.5, np.random.default_rng(0))
+        assert len(view) == 9
+        dummy = AttackResult(
+            view=view,
+            pair_i=np.array([0, 2]),
+            pair_j=np.array([1, 3]),
+            prob=np.array([0.9, 0.4]),
+        )
+        assert dummy.n_matched_vpins == self._recount(view) == 6
+        assert dummy.accuracy_at_threshold(0.5) == pytest.approx(2 / 6)
+        assert dummy.n_matched_vpins == 6
 
 
 class TestSummarize:

@@ -21,6 +21,7 @@ from repro.ml.fit_engine import (
     has_ckernel,
 )
 from repro.ml.forest import RandomForest
+from repro.ml import tree as tree_module
 from repro.ml.tree import REPTree, RandomTree
 from repro.obs import get_registry
 
@@ -182,25 +183,37 @@ class TestEngineEquality:
 
     @pytest.mark.parametrize("kind", DATASET_KINDS)
     def test_uncertain_nodes_match_reference(self, kind, reference, monkeypatch):
-        """Every node declared uncertain is re-searched by the reference
-        scan over the presorted orders and still splits identically."""
+        """With an infinite guard band every node with a candidate split is
+        uncertain, so it is re-searched by the reference scan over its
+        presorted segment -- and still splits identically."""
         rng = np.random.default_rng([DATASET_KINDS.index(kind), 99])
         X, y = _make_dataset(kind, 400, rng)
         expected = reference(lambda: REPTree(seed=8).fit(X, y))
-        real = fit_engine._get_kernel()
-
-        class AlwaysUncertain:
-            repro_fit_partition = real.repro_fit_partition
-
-            @staticmethod
-            def repro_fit_best_split(*_args):
-                return -1
-
-        monkeypatch.setattr(fit_engine, "_get_kernel", lambda: AlwaysUncertain)
+        monkeypatch.setattr(fit_engine, "UNCERTAIN_GAIN_MARGIN", np.inf)
         before = _counters()
         model = REPTree(seed=8).fit(X, y)
+        after = _counters()
         assert _frozen_tuple(model) == _frozen_tuple(expected)
-        assert _delta(before, _counters(), "fit_kernel_fallbacks") > 0
+        assert _delta(before, after, "fit_kernel_fallbacks") > 0
+        assert _delta(before, after, "tree_fits{engine=c}") == 1
+
+
+class _Boom(Exception):
+    pass
+
+
+class _RaisingTree(RandomTree):
+    """RandomTree whose candidate sampling raises on its third node."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.calls = 0
+
+    def _candidate_features(self, n_features):
+        self.calls += 1
+        if self.calls == 3:
+            raise _Boom("third node")
+        return super()._candidate_features(n_features)
 
 
 class TestGrowTree:
@@ -208,18 +221,26 @@ class TestGrowTree:
     def test_stats_counters(self, reference):
         rng = np.random.default_rng(8)
         X, y = _make_dataset("plain", 200, rng)
-        root, stats = grow_tree(
+        arrays, stats = grow_tree(
             X,
             y,
-            candidate_features=lambda n_features: np.arange(n_features),
+            candidate_features=None,
             max_depth=25,
             min_samples_leaf=2,
             min_gain=1e-7,
         )
-        assert stats["nodes"] == 2 * stats["splits"] + 1
-        assert not root.is_leaf
-        # Every grow counts one tree_fits under the engine that ran it,
-        # and its split nodes, whichever path grew it.
+        assert [a.dtype for a in arrays] == [
+            np.int64, np.float64, np.int64, np.int64, np.float64, np.float64
+        ]
+        feature, _threshold, left, right, pos, neg = arrays
+        # Unpruned: every created node is popped once and every split
+        # survives into the frozen tree.
+        assert stats["nodes"] == 2 * stats["splits"] + 1 == len(feature)
+        assert (feature >= 0).sum() == stats["splits"]
+        assert pos[0] == y.sum() and neg[0] == len(y) - y.sum()
+        assert ((left < 0) == (right < 0)).all()
+        # Every fit counts one tree_fits under the engine that ran it,
+        # and its split nodes, whichever path fitted it.
         for engine, fit in (
             ("c", lambda make: make()),
             ("numpy", reference),
@@ -230,13 +251,117 @@ class TestGrowTree:
             assert _delta(before, after, f"tree_fits{{engine={engine}}}") == 1
             assert _delta(before, after, "fit_split_nodes") > 0
 
+    @needs_ckernel
+    def test_randomtree_rng_state_after_fit(self, reference):
+        """The kernel asks for candidate features exactly as often, and in
+        the same order, as the reference grower."""
+        rng = np.random.default_rng(31)
+        X, y = _make_dataset("ties", 300, rng)
+        expected = reference(lambda: RandomTree(seed=3).fit(X, y))
+        model = RandomTree(seed=3).fit(X, y)
+        assert _frozen_tuple(model) == _frozen_tuple(expected)
+        assert model.rng.bit_generator.state == expected.rng.bit_generator.state
+
+    @needs_ckernel
+    def test_default_candidates_take_no_callback(self, monkeypatch):
+        """REPTree's inherited ``_candidate_features`` runs inside the
+        kernel; any override (class or instance) is called back."""
+        seen = []
+        real = tree_module.grow_tree
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["candidate_features"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tree_module, "grow_tree", spy)
+        X, y = _make_dataset("plain", 60, np.random.default_rng(0))
+        REPTree(seed=0).fit(X, y)
+        RandomTree(seed=0).fit(X, y)
+        overridden = REPTree(seed=0)
+        overridden._candidate_features = lambda n_features: np.arange(n_features)
+        overridden.fit(X, y)
+        assert seen[0] is None
+        assert seen[1] is not None and seen[2] is not None
+
+    @needs_ckernel
+    def test_candidate_exception_propagates(self):
+        X, y = _make_dataset("plain", 300, np.random.default_rng(4))
+        model = _RaisingTree(seed=0)
+        with pytest.raises(_Boom, match="third node"):
+            model.fit(X, y)
+        assert model.calls == 3  # the kernel stopped at the raising call
+        assert model._tree is None
+
+    @needs_ckernel
+    def test_research_exception_propagates(self, monkeypatch):
+        def broken(*_args):
+            raise _Boom("re-search")
+
+        monkeypatch.setattr(fit_engine, "UNCERTAIN_GAIN_MARGIN", np.inf)
+        monkeypatch.setattr(fit_engine, "_search_sorted", broken)
+        X, y = _make_dataset("plain", 100, np.random.default_rng(5))
+        with pytest.raises(_Boom, match="re-search"):
+            REPTree(seed=0).fit(X, y)
+
+    @needs_ckernel
+    def test_grow_only_path_matches_reference(self, reference):
+        """Fewer rows than folds: grown on every row, never pruned."""
+        X = np.array([[0.0, 5.0], [1.0, 3.0], [2.0, 4.0], [3.0, 1.0]])
+        y = np.array([0.0, 1.0, 0.0, 1.0])
+
+        def fit():
+            return REPTree(seed=2, min_samples_leaf=1, num_folds=5).fit(X, y)
+
+        expected = reference(fit)
+        before = _counters()
+        model = fit()
+        assert _delta(before, _counters(), "tree_fits{engine=c}") == 1
+        assert _frozen_tuple(model) == _frozen_tuple(expected)
+        assert model.n_nodes > 1
+        assert model.rng.bit_generator.state == expected.rng.bit_generator.state
+
+    @needs_ckernel
+    def test_pruned_node_keeps_threshold(self, reference):
+        """A collapsed node gets feature -1 but keeps its split threshold;
+        a never-split leaf has threshold 0.0."""
+        rng = np.random.default_rng(17)
+        X = rng.normal(size=(600, 4))
+        y = ((X[:, 0] > 0) ^ (rng.random(600) < 0.35)).astype(float)
+        expected = reference(lambda: REPTree(seed=3).fit(X, y))
+        model = REPTree(seed=3).fit(X, y)
+        assert _frozen_tuple(model) == _frozen_tuple(expected)
+        leaves = model._tree.left < 0
+        assert (model._tree.feature[leaves] == -1).all()
+        collapsed = leaves & (model._tree.threshold != 0.0)
+        assert collapsed.any()
+        assert (model._tree.threshold[leaves & ~collapsed] == 0.0).all()
+
+    @needs_ckernel
+    def test_degenerate_splits_exceed_node_capacity(self, reference):
+        """A midpoint threshold that rounds onto the upper value sends every
+        row left, leaving an empty right child; the chain repeats to the
+        depth cap, past 2n - 1 nodes, and still matches the reference."""
+        low = 1.0 + 2.0**-52
+        high = np.nextafter(low, 2.0)
+        assert (low + high) / 2.0 == high
+        X = np.array([[low, 0.0], [high, 1.0], [high, 2.0]])
+        y = np.array([0.0, 1.0, 0.0])
+
+        def fit():
+            return RandomTree(seed=4, min_samples_leaf=1, max_depth=6).fit(X, y)
+
+        expected = reference(fit)
+        model = fit()
+        assert model.n_nodes > 2 * len(y) - 1
+        assert _frozen_tuple(model) == _frozen_tuple(expected)
+        assert model.rng.bit_generator.state == expected.rng.bit_generator.state
     def test_forced_c_without_kernel_raises(self, monkeypatch):
         monkeypatch.setattr(fit_engine, "_get_kernel", lambda: None)
         with pytest.raises(RuntimeError):
             grow_tree(
                 np.zeros((4, 2)),
                 np.array([0.0, 1.0, 0.0, 1.0]),
-                candidate_features=np.arange,
+                candidate_features=None,
                 max_depth=5,
                 min_samples_leaf=1,
                 min_gain=1e-7,

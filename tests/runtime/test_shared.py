@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +17,8 @@ from repro.runtime import (
     release_arrays,
     share_arrays,
 )
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def _read_back(payload):
@@ -76,6 +84,37 @@ class TestSharedArray:
             release_arrays(shared)
         with pytest.raises(ValueError):
             _ = shared["a"].array
+
+    def test_view_outlives_release(self):
+        """A view taken before release_arrays stays readable: the mapping
+        is unmapped only once the last view is gone.  Run in a child
+        process, since the failure mode is a segfault."""
+        script = (
+            "import numpy as np\n"
+            "from repro.runtime import release_arrays, share_arrays\n"
+            "arrays = share_arrays({'vx': np.arange(10.0)})\n"
+            "view = arrays['vx'].array\n"
+            "tail = view[5:]\n"
+            "release_arrays(arrays)\n"
+            "print(view.sum(), tail.sum())\n"
+            "del view\n"
+            "print(tail.sum())\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), env.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=env,
+        )
+        assert done.returncode != -signal.SIGSEGV, done.stderr
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["45.0", "35.0", "35.0"]
+        assert done.stderr == ""
 
     def test_repr_states(self):
         sa = SharedArray.from_array(np.ones(2))

@@ -4,7 +4,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+from repro.splitmfg import sampling
 from repro.splitmfg.pair_features import FEATURES_9, FEATURES_11
 from repro.splitmfg.sampling import (
     NeighborhoodIndex,
@@ -166,6 +168,27 @@ class TestNeighborhood:
                 arr["vy"][neighbors] - arr["vy"][i]
             )
             assert (d <= radius + 1e-9).all()
+
+    @pytest.mark.parametrize("batch", [7, 128])
+    @pytest.mark.parametrize("fraction", [0.05, 0.2])
+    def test_neighbor_lists_equal_per_point_queries(
+        self, view8, fraction, batch, monkeypatch
+    ):
+        """The batched lists equal one single-point query per v-pin,
+        element for element and in the same order."""
+        monkeypatch.setattr(sampling, "NEIGHBOR_BATCH", batch)
+        radius = fraction * view8.half_perimeter
+        index = NeighborhoodIndex(view8, radius)
+        arr = view8.arrays()
+        points = np.column_stack([arr["vx"], arr["vy"]])
+        tree = cKDTree(points)
+        for i in range(len(view8)):
+            found = tree.query_ball_point(points[i], r=radius, p=1)
+            expected = np.array([k for k in found if k != i], dtype=int)
+            got = index.neighbors_of(i)
+            assert got.dtype == expected.dtype
+            assert got.tolist() == expected.tolist()
+        assert not index.neighbors_of(0).flags.writeable
 
     def test_candidate_pairs_legal_and_bounded(self, view8):
         radius = 0.15 * view8.half_perimeter
